@@ -3,15 +3,16 @@ and a staged constructive builder for rainbow Hamilton cycles and perfect
 matchings, with an experiment harness for hitting radii and limit laws."""
 
 from .geometry import (BallVolumes, PointSet, ball_volumes, cube_diameter,
-                       distance, load_points, mc_unit_ball_volume,
-                       pairwise_distances, sample_points, save_points,
-                       unit_ball_volume)
+                       distance, json_safe, load_points, lp_lengths,
+                       mc_unit_ball_volume, pairwise_distances, sample_points,
+                       save_points, unit_ball_volume)
 from .process import (ColouredProcess, HittingRadii, ReferenceRadii, Snapshot,
                       build_process, compute_hitting_radii, default_omega,
                       events_csv_text, events_from_csv, events_to_csv,
-                      hitting_radii_from_json, hitting_radii_to_json,
-                      hitting_radius_kconn, hitting_radius_min_degree,
-                      pair_colours, reference_radii, snapshot)
+                      first_feasible_prefix, hitting_radii_from_json,
+                      hitting_radii_to_json, hitting_radius_kconn,
+                      hitting_radius_min_degree, pair_colours, reference_radii,
+                      snapshot)
 from .tessellation import (CellClassification, CellGraph, CellGrid,
                            DiagnosticsReport, TessellationRegimeError,
                            build_cell_graph, build_grid, classify_cells,
@@ -29,8 +30,8 @@ from .builder import (BadPath, BuildFailure, GoodCycle, RainbowCertificate,
                       build_stitch_plan, certificate_from_json,
                       colour_ugly_paths, plan_ugly_paths)
 from .harness import (ExperimentConfig, TrialRecord, corollary_radius,
-                      finite_n_cdf_pm, limit_cdf_hc, limit_cdf_pm,
-                      max_knn_distance, min_degree_law_experiment,
+                      finite_n_cdf_pm, hitting_radii, limit_cdf_hc,
+                      limit_cdf_pm, max_knn_distance, min_degree_law_experiment,
                       printed_offset,
                       records_to_csv, records_to_json, run_trials)
 

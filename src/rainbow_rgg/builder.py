@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, distance
+from .geometry import PointSet, distance, json_safe, lp_lengths
 from .hamilton import hamilton_cycle, hamilton_path
 from .process import ColouredProcess, build_process, default_omega, reference_radii
 from .tessellation import (CellClassification, CellGraph, CellGrid,
@@ -86,22 +85,10 @@ class BuildFailure:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def clean(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            if isinstance(x, (np.integer,)):
-                return int(x)
-            if isinstance(x, (np.floating,)):
-                return float(x)
-            return x
         return json.dumps({"ok": False, "failed_stage": self.stage,
                            "reason": self.reason, "mode": self.mode,
                            "n": self.n, "target_radius": self.target_radius,
-                           "details": clean(self.details)}, sort_keys=True)
+                           "details": json_safe(self.details)}, sort_keys=True)
 
 
 @dataclass
@@ -216,13 +203,7 @@ def _geom_adjacency(vertices, points: PointSet, r: float):
     adj = [set() for _ in range(k)]
     if k < 2:
         return adj
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    if math.isinf(points.p):
-        dmat = diff.max(axis=2)
-    elif points.p == 1.0:
-        dmat = diff.sum(axis=2)
-    else:
-        dmat = (diff ** points.p).sum(axis=2) ** (1.0 / points.p)
+    dmat = lp_lengths(np.abs(pts[:, None, :] - pts[None, :, :]), points.p)
     for a in range(k):
         for b in range(a + 1, k):
             if dmat[a, b] <= r:

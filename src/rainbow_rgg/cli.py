@@ -12,9 +12,8 @@ import json
 import math
 import sys
 
-from .geometry import cube_diameter, sample_points, save_points, load_points
-from .process import (build_process, compute_hitting_radii, events_csv_text,
-                      hitting_radii_to_json)
+from .geometry import cube_diameter, json_safe, sample_points, save_points, load_points
+from .process import build_process, events_csv_text, hitting_radii_to_json
 from . import builder as _builder
 from . import harness as _harness
 from . import oracle as _oracle
@@ -130,14 +129,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_hitting(args) -> int:
     pts = sample_points(args.n, args.d, args.seed, args.p)
-    proc = build_process(pts, cutoff=cube_diameter(args.d, args.p), K=args.K,
-                         colour_seed=args.seed + 1)
-    radii = compute_hitting_radii(proc, include_kconn=not args.no_kconn)
-    if args.rainbow:
-        if args.n <= _oracle.HC_VERTEX_LIMIT:
-            radii.rainbow_hc, _ = _oracle.exact_hitting_rainbow(proc, "hc")
-        if args.n % 2 == 0 and args.n <= _oracle.PM_VERTEX_LIMIT:
-            radii.rainbow_pm, _ = _oracle.exact_hitting_rainbow(proc, "pm")
+    radii = _harness.hitting_radii(pts, K=args.K, colour_seed=args.seed + 1,
+                                   include_kconn=not args.no_kconn,
+                                   include_rainbow=args.rainbow)
     _emit(hitting_radii_to_json(radii), args.out)
     return 0
 
@@ -178,14 +172,13 @@ def _cmd_oracle(args) -> int:
                          n_colours=args.colours, colour_seed=args.seed + 1)
     if args.hitting:
         radius, witness = _oracle.exact_hitting_rainbow(proc, args.target)
-        payload = {"target": args.target, "n": args.n,
-                   "radius": "inf" if math.isinf(radius) else radius,
+        payload = {"target": args.target, "n": args.n, "radius": radius,
                    "witness": [[i + 1, j + 1, c] for (i, j, c) in witness] if witness else None}
     else:
         witness = _oracle.rainbow_witness_at(proc, proc.cutoff, args.target)
         payload = {"target": args.target, "n": args.n, "feasible": witness is not None,
                    "witness": [[i + 1, j + 1, c] for (i, j, c) in witness] if witness else None}
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _emit(json.dumps(json_safe(payload), sort_keys=True), args.out)
     return 0
 
 
@@ -216,9 +209,8 @@ def _cmd_lawcheck(args) -> int:
     records, rows = _harness.min_degree_law_experiment(
         args.n, args.trials, d=args.d, p=args.p, alphas=alphas,
         master_seed=args.seed, threads=args.threads)
-    payload = {"n": args.n, "trials": args.trials, "d": args.d,
-               "p": "inf" if math.isinf(args.p) else args.p, "rows": rows}
-    text = json.dumps(payload, sort_keys=True)
+    payload = {"n": args.n, "trials": args.trials, "d": args.d, "p": args.p, "rows": rows}
+    text = json.dumps(json_safe(payload), sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -18,6 +18,7 @@ __all__ = [
     "BallVolumes",
     "check_norm",
     "sample_points",
+    "lp_lengths",
     "distance",
     "pairwise_distances",
     "unit_ball_volume",
@@ -26,6 +27,7 @@ __all__ = [
     "cube_diameter",
     "save_points",
     "load_points",
+    "json_safe",
 ]
 
 
@@ -87,26 +89,32 @@ def sample_points(n: int, d: int, seed, p: float = 2.0) -> PointSet:
     return PointSet(points=pts, seed=seed_record, p=p)
 
 
+def lp_lengths(diff, p) -> np.ndarray:
+    """l_p norms along the last axis of ``diff``, an array of absolute
+    coordinate differences (p = math.inf for the max norm).
+
+    Every length in the package, event lengths, k-NN radii and cell offsets
+    alike, goes through this one reduction, so lengths compared with ``==``
+    or used as cutoffs agree bit for bit wherever they are computed.
+    """
+    if math.isinf(p):
+        return diff.max(axis=-1)
+    if p == 1.0:
+        return diff.sum(axis=-1)
+    return (diff ** p).sum(axis=-1) ** (1.0 / p)
+
+
 def distance(a, b, p) -> float:
     """l_p distance between two points (p = math.inf for the max norm)."""
     p = check_norm(p)
     diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    if math.isinf(p):
-        return float(diff.max())
-    if p == 1.0:
-        return float(diff.sum())
-    return float((diff ** p).sum() ** (1.0 / p))
+    return float(lp_lengths(diff, p))
 
 
 def pairwise_distances(points: np.ndarray, p: float) -> np.ndarray:
     """Dense (n, n) l_p distance matrix; fine for n up to a few thousand."""
     p = check_norm(p)
-    diff = np.abs(points[:, None, :] - points[None, :, :])
-    if math.isinf(p):
-        return diff.max(axis=2)
-    if p == 1.0:
-        return diff.sum(axis=2)
-    return (diff ** p).sum(axis=2) ** (1.0 / p)
+    return lp_lengths(np.abs(points[:, None, :] - points[None, :, :]), p)
 
 
 def unit_ball_volume(d: int, p) -> float:
@@ -138,13 +146,7 @@ def mc_unit_ball_volume(d: int, p, samples: int = 10 ** 6, seed=0) -> float:
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
-        pts = np.abs(rng.uniform(-1.0, 1.0, size=(m, d)))
-        if math.isinf(p):
-            norms = pts.max(axis=1)
-        elif p == 1.0:
-            norms = pts.sum(axis=1)
-        else:
-            norms = (pts ** p).sum(axis=1) ** (1.0 / p)
+        norms = lp_lengths(np.abs(rng.uniform(-1.0, 1.0, size=(m, d))), p)
         inside += int((norms <= 1.0).sum())
         remaining -= m
     return (2.0 ** d) * inside / samples
@@ -177,6 +179,23 @@ def cube_diameter(d: int, p) -> float:
     if math.isinf(p):
         return 1.0
     return d ** (1.0 / p)
+
+
+def json_safe(x):
+    """``x`` with every infinite float replaced by the string "inf" and numpy
+    scalars by Python numbers, recursing into dicts, lists and tuples, so
+    that ``json.dumps`` of the result is strict JSON."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    if isinstance(x, dict):
+        return {k: json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_safe(v) for v in x]
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    return x
 
 
 def _fmt_float(x: float) -> str:

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointSet, check_norm, cube_diameter, sample_points, unit_ball_volume
-from .process import build_process, compute_hitting_radii, hitting_radius_min_degree
+from .geometry import (PointSet, check_norm, cube_diameter, json_safe, lp_lengths,
+                       sample_points, unit_ball_volume)
+from .process import HittingRadii, build_process, compute_hitting_radii
 from . import builder as _builder
 from . import oracle as _oracle
 
@@ -42,6 +43,7 @@ __all__ = [
     "limit_cdf_hc",
     "corollary_radius",
     "max_knn_distance",
+    "hitting_radii",
     "run_trials",
     "min_degree_law_experiment",
     "records_to_csv",
@@ -132,14 +134,61 @@ def corollary_radius(n: int, d: int, p, alpha: float, target: str = "pm") -> flo
     return (bracket / (2 ** (2 - d) * theta * n)) ** (1 / d)
 
 
+def _knn_radii(points: PointSet, ks) -> dict:
+    """Map each k in ks to the max over vertices of the k-th smallest l_p
+    length to another vertex, from one kd-tree query.
+
+    The kd-tree picks max(ks) + 1 neighbours of every vertex besides itself
+    (one spare, against ties that its own distances order differently); their
+    lengths are recomputed with ``lp_lengths``, exactly as the event lengths
+    of ``build_process`` are, and sorted.
+    """
+    kmax = max(ks)
+    if min(ks) < 1 or kmax >= points.n:
+        raise ValueError("k must be in [1, n-1]")
+    pts = points.points
+    _, nbrs = cKDTree(pts).query(pts, k=min(kmax + 2, points.n), p=points.p)
+    lens = lp_lengths(np.abs(pts[nbrs] - pts[:, None, :]), points.p)
+    lens.sort(axis=1)
+    return {k: float(lens[:, k].max()) for k in ks}
+
+
 def max_knn_distance(points: PointSet, k: int) -> float:
     """Max over vertices of the k-th nearest neighbour distance, which is
-    the hitting radius for minimum degree k."""
-    if k < 1 or k >= points.n:
-        raise ValueError("k must be in [1, n-1]")
-    tree = cKDTree(points.points)
-    dd, _ = tree.query(points.points, k=k + 1, p=points.p)
-    return float(dd[:, k].max())
+    the hitting radius for minimum degree k: the min-degree scan of
+    ``build_process(points, max_knn_distance(points, k))`` returns exactly
+    this value."""
+    return _knn_radii(points, (k,))[k]
+
+
+def hitting_radii(points: PointSet, K: float = 20.0, colour_seed: int = 0,
+                  include_kconn: bool = True, include_rainbow: bool = False) -> HittingRadii:
+    """Hitting radii of the coloured process on ``points`` (min degree and
+    k-connectivity for k in {1, 2}; the exact rainbow radii too, when
+    ``include_rainbow`` and n is within the oracle's limits).
+
+    The process is built at the min-degree-2 radius and the cutoff doubled
+    while a requested radius is still unreached; math.inf is reported only
+    once the build covers the whole cube.  Every radius is a function of the
+    event prefix, so the result is that of the build at the cube diameter.
+    """
+    n = points.n
+    diam = cube_diameter(points.dim, points.p)
+    # r = 0 when points coincide, and doubling would not grow it
+    cutoff = (max_knn_distance(points, 2) if n > 2 else 0.0) or diam
+    while True:
+        proc = build_process(points, min(cutoff, diam), K=K, colour_seed=colour_seed)
+        radii = compute_hitting_radii(proc, include_kconn=include_kconn)
+        if include_rainbow:
+            if n <= _oracle.HC_VERTEX_LIMIT:
+                radii.rainbow_hc, _ = _oracle.exact_hitting_rainbow(proc, "hc")
+            if n % 2 == 0 and n <= _oracle.PM_VERTEX_LIMIT:
+                radii.rainbow_pm, _ = _oracle.exact_hitting_rainbow(proc, "pm")
+        found = [*radii.min_degree.values(), *radii.kconn.values(),
+                 radii.rainbow_hc, radii.rainbow_pm]
+        if proc.cutoff >= diam or math.inf not in found:
+            return radii
+        cutoff *= 2
 
 
 # -- Trial protocol -------------------------------------------------------------
@@ -197,25 +246,21 @@ def _run_hitting_trial(payload) -> TrialRecord:
     t0 = time.perf_counter()
     pseed, cseed = _trial_seeds(master_seed, n_index, trial_index)
     pts = sample_points(n, d, pseed, p)
-    proc = build_process(pts, cutoff=cube_diameter(d, p), K=K, colour_seed=cseed)
-    ks = (1, 2)
-    radii = compute_hitting_radii(proc, ks=ks, include_kconn=include_kconn)
+    radii = hitting_radii(pts, K=K, colour_seed=cseed, include_kconn=include_kconn,
+                          include_rainbow=include_rainbow)
     vals = {}
-    for k in ks:
+    for k in (1, 2):
         vals[f"r_min_degree_{k}"] = radii.min_degree[k]
     if include_kconn:
-        for k in ks:
+        for k in (1, 2):
             vals[f"r_kconn_{k}"] = radii.kconn[k]
             vals[f"coincide_{k}"] = int(radii.min_degree[k] == radii.kconn[k])
-    if include_rainbow:
-        if n <= _oracle.HC_VERTEX_LIMIT:
-            r_hc, _ = _oracle.exact_hitting_rainbow(proc, "hc")
-            vals["r_rainbow_hc"] = r_hc
-            vals["rainbow_hc_hits_min_degree_2"] = int(r_hc == radii.min_degree[2])
-        if n % 2 == 0 and n <= _oracle.PM_VERTEX_LIMIT:
-            r_pm, _ = _oracle.exact_hitting_rainbow(proc, "pm")
-            vals["r_rainbow_pm"] = r_pm
-            vals["rainbow_pm_hits_min_degree_1"] = int(r_pm == radii.min_degree[1])
+    if radii.rainbow_hc is not None:
+        vals["r_rainbow_hc"] = radii.rainbow_hc
+        vals["rainbow_hc_hits_min_degree_2"] = int(radii.rainbow_hc == radii.min_degree[2])
+    if radii.rainbow_pm is not None:
+        vals["r_rainbow_pm"] = radii.rainbow_pm
+        vals["rainbow_pm_hits_min_degree_1"] = int(radii.rainbow_pm == radii.min_degree[1])
     rec = TrialRecord(kind="hitting", n=n, n_index=n_index, trial_index=trial_index,
                       point_seed=pseed, colour_seed=cseed, values=vals)
     rec.wall_time = time.perf_counter() - t0
@@ -251,13 +296,8 @@ def _run_law_trial(payload) -> TrialRecord:
     (master_seed, n_index, trial_index, n, d, p) = payload
     t0 = time.perf_counter()
     pseed, cseed = _trial_seeds(master_seed, n_index, trial_index)
-    pts = sample_points(n, d, pseed, p)
-    tree = cKDTree(pts.points)
-    dd, _ = tree.query(pts.points, k=3, p=p)
-    vals = {
-        "r_min_degree_1": float(dd[:, 1].max()),
-        "r_min_degree_2": float(dd[:, 2].max()),
-    }
+    radii = _knn_radii(sample_points(n, d, pseed, p), (1, 2))
+    vals = {f"r_min_degree_{k}": r for k, r in radii.items()}
     rec = TrialRecord(kind="lawcheck", n=n, n_index=n_index, trial_index=trial_index,
                       point_seed=pseed, colour_seed=cseed, values=vals)
     rec.wall_time = time.perf_counter() - t0
@@ -358,17 +398,9 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
-    def clean(x):
-        if isinstance(x, float) and math.isinf(x):
-            return "inf"
-        if isinstance(x, dict):
-            return {k: clean(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [clean(v) for v in x]
-        return x
     out = []
     for rec in records:
         d = asdict(rec)
         d.pop("wall_time", None)
-        out.append(clean(d))
+        out.append(json_safe(d))
     return json.dumps(out, sort_keys=True)

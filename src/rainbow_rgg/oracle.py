@@ -189,9 +189,9 @@ def exact_hitting_rainbow(process, target: str = "hc"):
     Returns (radius, witness); (inf, None) when even the full edge set has
     no rainbow structure.  Feasibility is monotone in the edge prefix, and
     a rainbow structure needs minimum degree 2 (cycle) or 1 (matching), so
-    the bisection starts at that hitting index.
+    the search starts at that hitting index.
     """
-    from .process import hitting_radius_min_degree
+    from .process import first_feasible_prefix, hitting_radius_min_degree
     if target not in ("hc", "pm"):
         raise ValueError("target must be 'hc' or 'pm'")
     n = process.n
@@ -202,25 +202,22 @@ def exact_hitting_rainbow(process, target: str = "hc"):
         return math.inf, None
     if target == "hc" and n < 3:
         return math.inf, None
-    M = process.m
-    witness_full = _prefix_feasible(process, M, target)
-    if witness_full is None:
+    deg_radius = hitting_radius_min_degree(process, 2 if target == "hc" else 1)
+    if math.isinf(deg_radius):
         return math.inf, None
-    k = 2 if target == "hc" else 1
-    deg_radius = hitting_radius_min_degree(process, k)
-    lo = int(np.searchsorted(process.elen, deg_radius, side="left")) if math.isfinite(deg_radius) else 0
-    lo = max(lo + 1, 1)  # prefixes shorter than the degree hit are infeasible
-    hi = M
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _prefix_feasible(process, mid, target) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    # re-derive the witness at the minimal prefix so it never cites later edges
-    witness = _prefix_feasible(process, hi, target)
-    assert witness is not None
-    return float(process.elen[hi - 1]), witness
+    # prefixes shorter than the degree hit are infeasible
+    lo = int(np.searchsorted(process.elen, deg_radius, side="left")) + 1
+    witnesses = {}
+
+    def feasible(m: int) -> bool:
+        witnesses[m] = _prefix_feasible(process, m, target)
+        return witnesses[m] is not None
+
+    m = first_feasible_prefix(lo, process.m, feasible)
+    if m is None:
+        return math.inf, None
+    # the witness of the minimal prefix never cites later edges
+    return float(process.elen[m - 1]), witnesses[m]
 
 
 def rainbow_witness_at(process, r: float, target: str = "hc"):

@@ -9,6 +9,15 @@ snapshots at different radii agree on shared edges.
 Hitting radii ("first radius at which property Q holds") are computed from
 the event stream; a radius that is not reached within the build cutoff is
 reported as math.inf.
+
+A build at cutoff r holds exactly the pairs of length <= r, in the same
+(length, i, j) order as the complete graph, because one length function
+(``geometry.lp_lengths``) computes every length and the colours do not
+depend on r.  Each hitting radius is a function of the event prefix up to
+it, so a build at any cutoff that reaches the radius gives the same value,
+bit for bit, as the build at the cube diameter.  The properties of the
+paper (minimum degree 1 or 2 and what they imply) are reached after about
+n log n events, not n^2 / 2, which is what ``harness.hitting_radii`` uses.
 """
 
 from __future__ import annotations
@@ -20,8 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import PointSet, check_norm, cube_diameter, unit_ball_volume
+from .geometry import (PointSet, check_norm, cube_diameter, json_safe, lp_lengths,
+                       unit_ball_volume)
 
 __all__ = [
     "ColouredProcess",
@@ -33,6 +44,7 @@ __all__ = [
     "snapshot",
     "hitting_radius_min_degree",
     "hitting_radius_kconn",
+    "first_feasible_prefix",
     "default_omega",
     "reference_radii",
     "compute_hitting_radii",
@@ -119,66 +131,22 @@ class ColouredProcess:
         return int(pair_colours(self.colour_seed, i, j, self.n, self.n_colours)[0])
 
     def distance_of(self, i: int, j: int) -> float:
-        diff = np.abs(self.points.points[i] - self.points.points[j])
-        p = self.p
-        if math.isinf(p):
-            return float(diff.max())
-        if p == 1.0:
-            return float(diff.sum())
-        return float((diff ** p).sum() ** (1.0 / p))
+        return float(lp_lengths(np.abs(self.points.points[i] - self.points.points[j]), self.p))
 
 
-def _bucket_pairs(points: np.ndarray, cutoff: float, p: float):
-    """All pairs (i < j) within l_p distance cutoff, via uniform buckets.
+def _pairs_within(points: np.ndarray, cutoff: float, p: float):
+    """All pairs (i < j) of l_p length at most cutoff, as (ei, ej, elen).
 
-    Bucket side is at least the cutoff, so qualifying pairs sit in the same
-    or coordinate-adjacent buckets.  Yields (i_array, j_array, len_array).
+    The kd-tree proposes the pairs within a slightly larger radius, since its
+    own distances may differ from ``lp_lengths`` in the last ulp; the
+    lengths are then recomputed canonically and filtered.
     """
-    n, d = points.shape
-    m_axis = max(1, int(1.0 / cutoff)) if cutoff > 0 else 1
-    # keep the occupied-bucket map comfortably smaller than the point count
-    m_axis = min(m_axis, max(1, int(n ** (1.0 / d)) * 2))
-    keys = np.minimum((points * m_axis).astype(np.int64), m_axis - 1)
-    buckets: dict[tuple, np.ndarray] = {}
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    change = np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)
-    starts = np.concatenate(([0], np.nonzero(change)[0] + 1, [n]))
-    for a, b in zip(starts[:-1], starts[1:]):
-        buckets[tuple(sorted_keys[a])] = order[a:b]
-
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    offsets = [tuple(o) for o in offsets if tuple(o) >= tuple([0] * d)]
-
-    def plength(diff):
-        if math.isinf(p):
-            return diff.max(axis=-1)
-        if p == 1.0:
-            return diff.sum(axis=-1)
-        return (diff ** p).sum(axis=-1) ** (1.0 / p)
-
-    for key, idx_a in buckets.items():
-        for off in offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            if nb == key:
-                ia = idx_a[:, None]
-                ja = idx_a[None, :]
-                diff = np.abs(points[idx_a][:, None, :] - points[idx_a][None, :, :])
-                lens = plength(diff)
-                mask = (ia < ja) & (lens <= cutoff)
-            else:
-                idx_b = buckets.get(nb)
-                if idx_b is None:
-                    continue
-                ia = idx_a[:, None]
-                ja = idx_b[None, :]
-                diff = np.abs(points[idx_a][:, None, :] - points[idx_b][None, :, :])
-                lens = plength(diff)
-                mask = lens <= cutoff
-            if mask.any():
-                ii = np.broadcast_to(ia, mask.shape)[mask]
-                jj = np.broadcast_to(ja, mask.shape)[mask]
-                yield np.minimum(ii, jj), np.maximum(ii, jj), lens[mask]
+    pairs = cKDTree(points).query_pairs(cutoff * (1 + 1e-9), p=p, output_type="ndarray")
+    ei = pairs[:, 0].astype(np.int64)
+    ej = pairs[:, 1].astype(np.int64)
+    elen = lp_lengths(np.abs(points[ei] - points[ej]), p)
+    keep = elen <= cutoff
+    return ei[keep], ej[keep], elen[keep]
 
 
 def build_process(points: PointSet, cutoff: float, K: float | None = None,
@@ -208,23 +176,11 @@ def build_process(points: PointSet, cutoff: float, K: float | None = None,
     if clamped:
         cutoff = diam
 
-    parts_i, parts_j, parts_l = [], [], []
-    for ii, jj, ll in _bucket_pairs(points.points, cutoff, points.p):
-        parts_i.append(ii)
-        parts_j.append(jj)
-        parts_l.append(ll)
-    if parts_i:
-        ei = np.concatenate(parts_i).astype(np.int64)
-        ej = np.concatenate(parts_j).astype(np.int64)
-        elen = np.concatenate(parts_l).astype(np.float64)
-        order = np.lexsort((ej, ei, elen))
-        ei, ej, elen = ei[order], ej[order], elen[order]
-        ecol = pair_colours(colour_seed, ei, ej, n, n_colours)
-    else:
-        ei = np.empty(0, dtype=np.int64)
-        ej = np.empty(0, dtype=np.int64)
-        elen = np.empty(0, dtype=np.float64)
-        ecol = np.empty(0, dtype=np.int64)
+    ei, ej, elen = _pairs_within(points.points, cutoff, points.p)
+    order = np.argsort(ei * n + ej)  # (i, j) order, then stably by length
+    order = order[np.argsort(elen[order], kind="stable")]
+    ei, ej, elen = ei[order], ej[order], elen[order]
+    ecol = pair_colours(colour_seed, ei, ej, n, n_colours)
 
     return ColouredProcess(points=points, cutoff=float(cutoff), n_colours=int(n_colours),
                            colour_seed=int(colour_seed), ei=ei, ej=ej, elen=elen,
@@ -370,12 +326,38 @@ def _is_biconnected(n: int, adj: list[list[int]]) -> bool:
     return timer == n and root_children < 2
 
 
+def first_feasible_prefix(lo: int, hi: int, pred):
+    """Smallest t in [lo, hi] with pred(t), for pred monotone in t (False up
+    to some point, True after it); None when pred(hi) is False.
+
+    Tests lo first, then hi, then bisects between them, so when the
+    property already holds at lo, as it usually does at the matching
+    min-degree prefix, one test settles it.  The last True call of pred is
+    always at the returned t.
+    """
+    if pred(lo):
+        return lo
+    if lo >= hi or not pred(hi):
+        return None
+    lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def hitting_radius_kconn(process: ColouredProcess, k: int) -> float:
     """First event length at which the snapshot is k-connected (k in {1, 2}).
 
-    k = 1 scans the sorted events with a union-find; k = 2 binary searches
-    over event prefixes with an articulation-point test (k-connectivity is
-    monotone along the process).  math.inf when not reached by the cutoff.
+    k = 1 scans the sorted events with a union-find.  k = 2 needs minimum
+    degree 2, so it tests the prefix that ends at the min-degree-2 radius
+    first; the two radii coincide a.a.s. (Penrose, "On k-connectivity for a
+    geometric random graph", 1999).  Otherwise it bisects over longer
+    prefixes with an articulation-point test (k-connectivity is monotone
+    along the process).  math.inf when not reached by the cutoff.
     """
     n = process.n
     if k not in (1, 2):
@@ -400,20 +382,12 @@ def hitting_radius_kconn(process: ColouredProcess, k: int) -> float:
             adj[ej[s]].append(ei[s])
         return _is_biconnected(n, adj)
 
-    if m == 0 or not prefix_biconnected(m - 1):
+    r_deg = hitting_radius_min_degree(process, 2)
+    if math.isinf(r_deg):
         return math.inf
-    # cheap necessary condition: minimum degree 2
-    lo_guess = hitting_radius_min_degree(process, 2)
-    lo = int(np.searchsorted(process.elen, lo_guess, side="right")) - 1
-    lo = max(lo, 0)
-    hi = m - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefix_biconnected(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(process.elen[lo])
+    lo = int(np.searchsorted(process.elen, r_deg, side="right")) - 1
+    t = first_feasible_prefix(lo, m - 1, prefix_biconnected)
+    return math.inf if t is None else float(process.elen[t])
 
 
 def default_omega(n: int) -> float:
@@ -486,12 +460,6 @@ def compute_hitting_radii(process: ColouredProcess, ks=(1, 2),
     return HittingRadii(min_degree=md, kconn=kc)
 
 
-def _radius_out(x):
-    if x is None:
-        return None
-    return "inf" if math.isinf(x) else x
-
-
 def _radius_in(x):
     if x is None:
         return None
@@ -500,12 +468,12 @@ def _radius_in(x):
 
 def hitting_radii_to_json(hr: HittingRadii) -> str:
     payload = {
-        "min_degree": {str(k): _radius_out(v) for k, v in sorted(hr.min_degree.items())},
-        "kconn": {str(k): _radius_out(v) for k, v in sorted(hr.kconn.items())},
-        "rainbow_hc": _radius_out(hr.rainbow_hc),
-        "rainbow_pm": _radius_out(hr.rainbow_pm),
+        "min_degree": {str(k): v for k, v in sorted(hr.min_degree.items())},
+        "kconn": {str(k): v for k, v in sorted(hr.kconn.items())},
+        "rainbow_hc": hr.rainbow_hc,
+        "rainbow_pm": hr.rainbow_pm,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(json_safe(payload), sort_keys=True)
 
 
 def hitting_radii_from_json(text: str) -> HittingRadii:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, check_norm, unit_ball_volume
+from .geometry import PointSet, check_norm, json_safe, lp_lengths, unit_ball_volume
 
 __all__ = [
     "CellGrid",
@@ -125,20 +125,12 @@ def build_grid(points: PointSet, r0: float, epsilon: float) -> CellGrid:
 
 def _offset_set_distance(delta, side: float, p: float) -> float:
     gaps = np.array([max(0, abs(t) - 1) * side for t in delta], dtype=np.float64)
-    if math.isinf(p):
-        return float(gaps.max()) if gaps.size else 0.0
-    if p == 1.0:
-        return float(gaps.sum())
-    return float((gaps ** p).sum() ** (1.0 / p))
+    return float(lp_lengths(gaps, p))
 
 
 def _offset_max_cross(delta, side: float, p: float) -> float:
     spans = np.array([(abs(t) + 1) * side for t in delta], dtype=np.float64)
-    if math.isinf(p):
-        return float(spans.max())
-    if p == 1.0:
-        return float(spans.sum())
-    return float((spans ** p).sum() ** (1.0 / p))
+    return float(lp_lengths(spans, p))
 
 
 @dataclass
@@ -311,19 +303,7 @@ class DiagnosticsReport:
         return {k: v["passed"] for k, v in self.checks.items()}
 
     def to_json(self) -> str:
-        def clean(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            if isinstance(x, (np.integer,)):
-                return int(x)
-            if isinstance(x, (np.floating,)):
-                return float(x)
-            return x
-        return json.dumps(clean(self.checks), sort_keys=True)
+        return json.dumps(json_safe(self.checks), sort_keys=True)
 
 
 def _component_linf_diameter(cells, grid: CellGrid) -> float:
@@ -402,13 +382,12 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
 
 
 def _power_adjacency(points: np.ndarray, p: float, radius: float) -> list[set]:
-    from .process import _bucket_pairs
-    n = points.shape[0]
-    adj = [set() for _ in range(n)]
-    for ii, jj, _ in _bucket_pairs(points, radius, p):
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            adj[a].add(b)
-            adj[b].add(a)
+    from .process import _pairs_within
+    adj = [set() for _ in range(points.shape[0])]
+    ii, jj, _ = _pairs_within(points, radius, p)
+    for a, b in zip(ii.tolist(), jj.tolist()):
+        adj[a].add(b)
+        adj[b].add(a)
     return adj
 
 
@@ -583,7 +562,6 @@ def verify_cross_pairs(grid: CellGrid, graph: CellGraph, points: PointSet):
     occupied cells, every cross pair of resident vertices must be within
     l_p distance r0.
     """
-    from .geometry import pairwise_distances
     occupied: dict[int, np.ndarray] = {}
     for v, c in enumerate(grid.cell_of_vertex.tolist()):
         occupied.setdefault(c, []).append(v)
@@ -596,13 +574,7 @@ def verify_cross_pairs(grid: CellGrid, graph: CellGraph, points: PointSet):
             if nb <= c or nb not in occupied:
                 continue
             ws = occupied[nb]
-            diff = np.abs(pts[vs][:, None, :] - pts[ws][None, :, :])
-            if math.isinf(grid.p):
-                dmat = diff.max(axis=2)
-            elif grid.p == 1.0:
-                dmat = diff.sum(axis=2)
-            else:
-                dmat = (diff ** grid.p).sum(axis=2) ** (1.0 / grid.p)
+            dmat = lp_lengths(np.abs(pts[vs][:, None, :] - pts[ws][None, :, :]), grid.p)
             pairs += dmat.size
             violations += int((dmat > grid.r0 * (1 + 1e-12)).sum())
     return pairs, violations

@@ -16,6 +16,7 @@ from rainbow_rgg import (
     ball_volumes,
     cube_diameter,
     distance,
+    json_safe,
     load_points,
     mc_unit_ball_volume,
     pairwise_distances,
@@ -162,3 +163,12 @@ def test_save_load_inf_norm(tmp_path):
     path = tmp_path / "pts_inf.csv"
     save_points(path, ps)
     assert load_points(path).p == math.inf
+
+
+def test_json_safe():
+    raw = {"a": math.inf, "b": [1.5, -math.inf, (np.int64(3), np.float64(0.25))],
+           "c": {"d": None, "e": np.float64(math.inf)}, "f": "x", "g": True}
+    assert json_safe(raw) == {"a": "inf", "b": [1.5, "inf", [3, 0.25]],
+                              "c": {"d": None, "e": "inf"}, "f": "x", "g": True}
+    assert type(json_safe(np.int64(3))) is int
+    assert type(json_safe(np.float64(0.25))) is float

@@ -14,15 +14,21 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from rainbow_rgg import (
+    PointSet,
     build_process,
     compute_hitting_radii,
+    cube_diameter,
     default_omega,
     events_from_csv,
     events_to_csv,
+    exact_hitting_rainbow,
+    first_feasible_prefix,
+    hitting_radii,
     hitting_radii_from_json,
     hitting_radii_to_json,
     hitting_radius_kconn,
     hitting_radius_min_degree,
+    max_knn_distance,
     pair_colours,
     pairwise_distances,
     reference_radii,
@@ -104,6 +110,32 @@ def test_colour_of_and_distance_of():
     assert proc.colour_of(a, b) == int(proc.ecol[k])
     assert proc.colour_of(b, a) == int(proc.ecol[k])
     assert proc.distance_of(a, b) == approx(float(proc.elen[k]))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("cutoff", [0.0, 0.15, 5.0])
+def test_kd_enumeration_matches_brute_force(p, d, cutoff):
+    """The kd-tree events are the upper triangle of the brute-force distance
+    matrix within the cutoff, bit for bit and in (length, i, j) order;
+    duplicated points give events at cutoff 0, and 5.0 exceeds the
+    diameter, which is clamped."""
+    base = sample_points(70, d, seed=13, p=p).points
+    ps = PointSet(np.vstack([base, base[:4]]), p=p)
+    proc = build_process(ps, cutoff=cutoff, K=20.0)
+    dm = pairwise_distances(ps.points, p)
+    ii, jj = np.triu_indices(ps.n, k=1)
+    diam = cube_diameter(d, p)
+    keep = dm[ii, jj] <= min(cutoff, diam)
+    ii, jj, ll = ii[keep], jj[keep], dm[ii, jj][keep]
+    order = np.lexsort((jj, ii, ll))
+    assert np.array_equal(proc.ei, ii[order])
+    assert np.array_equal(proc.ej, jj[order])
+    assert np.array_equal(proc.elen, ll[order])
+    assert proc.clamped == (cutoff > diam)
+    assert proc.cutoff == min(cutoff, diam)
+    if cutoff == 0.0:
+        assert proc.m == 4
 
 
 # -- snapshots ----------------------------------------------------------
@@ -240,6 +272,85 @@ def test_hitting_radii_ordering():
         assert hr.kconn[2] >= hr.min_degree[2]
         assert hr.min_degree[2] >= hr.min_degree[1]
         assert hr.kconn[2] >= hr.kconn[1]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_min_degree_scan_at_knn_cutoff_is_exact(p, d, k):
+    """Built at cutoff max_knn_distance(pts, k), the process's min-degree
+    scan returns that cutoff exactly: the k-NN radius and the event lengths
+    come from one length computation (for p outside {1, 2, inf} two
+    separate ones disagreed in the last ulp, dropping the critical edge)."""
+    for seed in range(40):
+        ps = sample_points(20 + 3 * seed, d, seed=seed, p=p)
+        r = max_knn_distance(ps, k)
+        proc = build_process(ps, cutoff=r, K=20.0)
+        assert hitting_radius_min_degree(proc, k) == r
+
+
+def _diameter_radii(ps, include_kconn, include_rainbow, K=20.0):
+    proc = build_process(ps, cutoff=cube_diameter(ps.dim, ps.p), K=K, colour_seed=5)
+    hr = compute_hitting_radii(proc, include_kconn=include_kconn)
+    if include_rainbow:
+        hr.rainbow_hc, _ = exact_hitting_rainbow(proc, "hc")
+        if ps.n % 2 == 0:
+            hr.rainbow_pm, _ = exact_hitting_rainbow(proc, "pm")
+    return hr
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("d", [2, 3])
+def test_grown_prefix_radii_match_diameter_build(p, d):
+    """Radii from the grown prefix equal those of the complete graph, with
+    the exact rainbow radii at n <= 10 (odd n has no matching)."""
+    cases = [(n, True, True) for n in (5, 9, 10)] + [(60, True, False), (60, False, False)]
+    for seed in range(3):
+        for n, include_kconn, include_rainbow in cases:
+            ps = sample_points(n, d, seed=100 + seed, p=p)
+            got = hitting_radii(ps, K=20.0, colour_seed=5, include_kconn=include_kconn,
+                                include_rainbow=include_rainbow)
+            assert got == _diameter_radii(ps, include_kconn, include_rainbow)
+
+
+def test_grown_prefix_radii_after_several_growth_steps():
+    """Two far clusters of five points: connectivity and the rainbow
+    structures need more than four times the min-degree-2 radius, so the
+    cutoff doubles at least twice; the radii still match the diameter
+    build."""
+    rng = np.random.default_rng(3)
+    pts = np.vstack([0.05 * rng.random((5, 2)), 1 - 0.05 * rng.random((5, 2))])
+    for p in (1.5, 2.0, math.inf):
+        ps = PointSet(pts, p=p)
+        got = hitting_radii(ps, K=20.0, colour_seed=5, include_rainbow=True)
+        assert got.kconn[1] > 4 * max_knn_distance(ps, 2)
+        assert got == _diameter_radii(ps, True, True)
+    # one colour for ten vertices: no rainbow structure even in the complete
+    # graph, so the growth runs to the diameter and reports inf
+    got = hitting_radii(ps, K=0.1, colour_seed=5, include_rainbow=True)
+    assert math.isinf(got.rainbow_hc) and math.isinf(got.rainbow_pm)
+    assert got == _diameter_radii(ps, True, True, K=0.1)
+
+
+def test_first_feasible_prefix():
+    calls = []
+
+    def at_least(t0):
+        def pred(t):
+            calls.append(t)
+            return t >= t0
+        return pred
+
+    assert first_feasible_prefix(3, 20, at_least(0)) == 3
+    assert calls == [3]
+    for t0 in range(4, 21):
+        assert first_feasible_prefix(3, 20, at_least(t0)) == t0
+    assert first_feasible_prefix(3, 20, at_least(21)) is None
+    assert first_feasible_prefix(5, 5, at_least(6)) is None
+    calls.clear()
+    first_feasible_prefix(0, 1000, at_least(700))
+    assert [t for t in calls if t >= 700][-1] == 700  # the last True call
+    assert len(calls) <= 13
 
 
 # -- reference radii ------------------------------------------------------

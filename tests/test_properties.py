@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from rainbow_rgg import (
     build_process,
+    compute_hitting_radii,
     cube_diameter,
     distance,
+    hitting_radii,
     hitting_radius_kconn,
     hitting_radius_min_degree,
     pairwise_distances,
@@ -68,6 +70,14 @@ def test_hitting_radius_ordering(seed, n, p):
     assert r1 <= r2
     assert r1 <= c1 <= c2
     assert r2 <= c2
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 40), d=st.integers(2, 3), p=norms)
+def test_grown_prefix_radii_equal_diameter_build(seed, n, d, p):
+    pts = sample_points(n, d, seed=seed, p=p)
+    full = build_process(pts, cutoff=cube_diameter(d, p), K=20.0, colour_seed=seed)
+    assert hitting_radii(pts, K=20.0, colour_seed=seed) == compute_hitting_radii(full)
 
 
 @settings(max_examples=40, deadline=None)
