@@ -35,7 +35,8 @@ import numpy as np
 
 from .geometry import PointSet, distance, json_safe, lp_lengths
 from .hamilton import hamilton_cycle, hamilton_path
-from .process import ColouredProcess, build_process, default_omega, reference_radii
+from .process import (ColouredProcess, build_process, default_omega, pair_colours,
+                      reference_radii)
 from .tessellation import (CellClassification, CellGraph, CellGrid,
                            TessellationRegimeError, build_cell_graph,
                            build_grid, classify_cells)
@@ -169,13 +170,9 @@ class _SpareVertexPool:
         self.coords = coords
         self.good_set = set(classification.good)
         self.drains = {}
-        self.residents = {}
-        for v, c in enumerate(grid.cell_of_vertex.tolist()):
-            if c in self.good_set:
-                self.residents.setdefault(c, []).append(v)
 
     def unclaimed_in(self, cell: int) -> list:
-        return [v for v in self.residents.get(cell, []) if v not in self.claimed]
+        return [v for v in self.grid.vertices_in(cell).tolist() if v not in self.claimed]
 
     def can_drain(self, cell: int) -> bool:
         if self.drains.get(cell, 0) >= 2:
@@ -204,11 +201,10 @@ def _geom_adjacency(vertices, points: PointSet, r: float):
     if k < 2:
         return adj
     dmat = lp_lengths(np.abs(pts[:, None, :] - pts[None, :, :]), points.p)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if dmat[a, b] <= r:
-                adj[a].add(b)
-                adj[b].add(a)
+    aa, bb = np.nonzero(np.triu(dmat <= r, 1))
+    for a, b in zip(aa.tolist(), bb.tolist()):
+        adj[a].add(b)
+        adj[b].add(a)
     return adj
 
 
@@ -247,16 +243,24 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
     claimed: set = set()
     pool = _SpareVertexPool(grid, classification, claimed, points.points)
     plans = []
-    by_cell = {}
-    for v, c in enumerate(grid.cell_of_vertex.tolist()):
-        by_cell.setdefault(c, []).append(v)
 
     def fail(reason, **details):
         return BuildFailure(stage="ugly_plan", reason=reason, mode=mode,
                             n=points.n, target_radius=r, details=details)
 
+    def park(endpoint):
+        """Claim the nearest spare good-cell vertex within r of the
+        endpoint; (vertex, cell), or None when there is none."""
+        cand = _exit_candidates(endpoint, points, grid, pool, r)
+        if not cand:
+            return None
+        _, v, cell = cand[0]
+        pool.claimed.add(v)
+        pool.drains[cell] = pool.drains.get(cell, 0) + 1
+        return v, cell
+
     for comp in classification.ugly_components:
-        vertices = sorted(v for c in comp for v in by_cell.get(c, [])
+        vertices = sorted(v for c in comp for v in grid.vertices_in(c).tolist()
                           if v not in claimed)
         if not vertices:
             continue
@@ -272,46 +276,26 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         if mode == "pm":
             path = list(interior)
             if len(path) % 2:
-                cand = _exit_candidates(path[-1], points, grid, pool, r)
-                took = None
-                for (_, v, cell) in cand:
-                    if v not in claimed and pool.can_drain(cell):
-                        pool.claimed.add(v)
-                        pool.drains[cell] = pool.drains.get(cell, 0) + 1
-                        took = v
-                        break
+                took = park(path[-1])
                 if took is None:
                     return fail("no parking vertex to even out path",
                                 component_cells=comp, endpoint=path[-1])
-                path.append(took)
+                path.append(took[0])
             plans.append(UglyPathPlan(component_cells=comp, interior=interior,
                                       path=path, anchor_cell=None))
             continue
 
         # cycle mode: park both ends in good cells, then make sure both end
         # cells share a splice anchor, extending through good cells if not
-        head_cand = _exit_candidates(interior[0], points, grid, pool, r)
-        head = None
-        for (_, v, cell) in head_cand:
-            if v not in claimed:
-                pool.claimed.add(v)
-                pool.drains[cell] = pool.drains.get(cell, 0) + 1
-                head, head_cell = v, cell
-                break
+        head = park(interior[0])
         if head is None:
             return fail("no parking vertex near path head",
                         component_cells=comp, endpoint=interior[0])
-        tail_cand = _exit_candidates(interior[-1], points, grid, pool, r)
-        tail = None
-        for (_, v, cell) in tail_cand:
-            if v not in claimed:
-                pool.claimed.add(v)
-                pool.drains[cell] = pool.drains.get(cell, 0) + 1
-                tail, tail_cell = v, cell
-                break
+        tail = park(interior[-1])
         if tail is None:
             return fail("no parking vertex near path tail",
                         component_cells=comp, endpoint=interior[-1])
+        (head, head_cell), (tail, tail_cell) = head, tail
 
         path = [head] + interior + [tail]
         anchor = head_cell
@@ -359,7 +343,7 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
 # -- Stage 2: colour the planned paths ---------------------------------------
 
 def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger,
-                      r: float):
+                      r: float, mode: str = "hc"):
     """Stage 2: read the coupled colour of every path edge and claim it.
 
     A repeated colour or an over-long edge is a structured failure; there
@@ -371,12 +355,12 @@ def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger,
             ln = process.distance_of(a, b)
             if ln > r * (1 + 1e-12):
                 return BuildFailure(stage="ugly_colour", reason="path edge exceeds radius",
-                                    mode="?", n=process.n, target_radius=r,
+                                    mode=mode, n=process.n, target_radius=r,
                                     details={"edge": [a + 1, b + 1], "length": ln})
             c = process.colour_of(a, b)
             if not ledger.claim(c):
                 return BuildFailure(stage="ugly_colour", reason="colour collision on path edge",
-                                    mode="?", n=process.n, target_radius=r,
+                                    mode=mode, n=process.n, target_radius=r,
                                     details={"edge": [a + 1, b + 1], "colour": c,
                                              "plan_index": pi})
             edges.append((a, b, c, ln))
@@ -399,7 +383,7 @@ class BadPath:
 def build_bad_forests(grid: CellGrid, graph: CellGraph,
                       classification: CellClassification,
                       process: ColouredProcess, ledger: RainbowLedger,
-                      claimed: set, r: float):
+                      claimed: set, r: float, mode: str = "hc"):
     """Stage 3: chain each bad cell's unclaimed residents in index order.
 
     Edges whose colour is already claimed (or that exceed the radius) are
@@ -409,14 +393,13 @@ def build_bad_forests(grid: CellGrid, graph: CellGraph,
     good_set = set(classification.good)
     out = []
     for cell in classification.bad:
-        vs = sorted(v for v in np.nonzero(grid.cell_of_vertex == cell)[0].tolist()
-                    if v not in claimed)
+        vs = [v for v in grid.vertices_in(cell).tolist() if v not in claimed]
         if not vs:
             continue
         parents = sorted(nb for nb in graph.neighbors(cell) if nb in good_set)
         if not parents:
             return BuildFailure(stage="bad_forest", reason="bad cell lost its good neighbour",
-                                mode="?", n=process.n, target_radius=r,
+                                mode=mode, n=process.n, target_radius=r,
                                 details={"cell": cell})
         parent = parents[0]
         seg = [vs[0]]
@@ -450,43 +433,40 @@ class GoodCycle:
 
 def build_good_cycles(grid: CellGrid, classification: CellClassification,
                       process: ColouredProcess, ledger: RainbowLedger,
-                      claimed: set, r: float, exact_limit: int = 10):
+                      claimed: set, r: float, mode: str = "hc", exact_limit: int = 10):
     """Stage 4: in each good cell, keep edges whose colour occurs exactly
     once within the cell and is globally unclaimed, then find a Hamilton
     cycle on what remains.  Distinct survivors automatically have distinct
     colours, so the cycle is rainbow.
     """
+    pts = process.points.points
     cycles = {}
     for cell in classification.good:
-        vs = sorted(v for v in np.nonzero(grid.cell_of_vertex == cell)[0].tolist()
-                    if v not in claimed)
+        vs = [v for v in grid.vertices_in(cell).tolist() if v not in claimed]
         if len(vs) < 3:
             return BuildFailure(stage="good_cycle", reason="good cell drained below cycle size",
-                                mode="?", n=process.n, target_radius=r,
+                                mode=mode, n=process.n, target_radius=r,
                                 details={"cell": cell, "remaining": len(vs)})
-        colour_count = {}
-        cand = []
-        for ai in range(len(vs)):
-            for bi in range(ai + 1, len(vs)):
-                a, b = vs[ai], vs[bi]
-                ln = process.distance_of(a, b)
-                if ln > r * (1 + 1e-12):
-                    continue
-                c = process.colour_of(a, b)
-                colour_count[c] = colour_count.get(c, 0) + 1
-                cand.append((ai, bi, c, ln))
         k = len(vs)
+        pa, pb = np.triu_indices(k, 1)
+        va, vb = np.array(vs)[pa], np.array(vs)[pb]
+        lens = lp_lengths(np.abs(pts[va] - pts[vb]), process.p)
+        near = lens <= r * (1 + 1e-12)
+        cols = pair_colours(process.colour_seed, va[near], vb[near], process.n,
+                            process.n_colours).tolist()
+        colour_count = {c: cols.count(c) for c in cols}
         adj = [set() for _ in range(k)]
         usable = {}
-        for (ai, bi, c, ln) in cand:
+        for a, b, c, ln in zip(pa[near].tolist(), pb[near].tolist(), cols,
+                               lens[near].tolist()):
             if colour_count[c] == 1 and c not in ledger.used:
-                adj[ai].add(bi)
-                adj[bi].add(ai)
-                usable[(ai, bi)] = (c, ln)
+                adj[a].add(b)
+                adj[b].add(a)
+                usable[(a, b)] = (c, ln)
         order_local = hamilton_cycle(k, adj, exact_limit=exact_limit)
         if order_local is None:
             return BuildFailure(stage="good_cycle", reason="no rainbow cycle in good cell",
-                                mode="?", n=process.n, target_radius=r,
+                                mode=mode, n=process.n, target_radius=r,
                                 details={"cell": cell, "vertices": k,
                                          "survivor_edges": len(usable)})
         edges = []
@@ -618,20 +598,20 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
         return sorted(cells, key=lambda c: (-len(free.get(c, [])), c))
 
     # spanning tree of good cells, grown into the most slot-rich frontier
+    good_nbs = {c: [nb for nb in graph.neighbors(c) if nb in good_set] for c in good}
     seen = {good[0]}
     while len(seen) < len(good):
         best = None
         for pc in seen:
             if not free[pc]:
                 continue
-            for nb in graph.neighbors(pc):
-                if nb in good_set and nb not in seen:
+            for nb in good_nbs[pc]:
+                if nb not in seen:
                     key = (len(free[pc]), -pc, -nb)
                     if best is None or key > best[0]:
                         best = (key, pc, nb)
         if best is None:
-            reachable = any(nb in good_set and nb not in seen
-                            for pc in seen for nb in graph.neighbors(pc))
+            reachable = any(nb not in seen for pc in seen for nb in good_nbs[pc])
             if not reachable:
                 return fail("good cells are not connected",
                             reached=len(seen), total=len(good))
@@ -861,26 +841,23 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
     got = plan_ugly_paths(points, grid, graph, classification, r, mode=mode,
                           exact_limit=exact_limit)
     if isinstance(got, BuildFailure):
-        got.mode = mode
         return got
     plans, claimed = got
 
-    got = colour_ugly_paths(plans, process, ledger, r)
+    got = colour_ugly_paths(plans, process, ledger, r, mode=mode)
     if isinstance(got, BuildFailure):
-        got.mode = mode
         return got
     plans = got
 
-    got = build_bad_forests(grid, graph, classification, process, ledger, claimed, r)
+    got = build_bad_forests(grid, graph, classification, process, ledger, claimed, r,
+                            mode=mode)
     if isinstance(got, BuildFailure):
-        got.mode = mode
         return got
     bad_paths = got
 
     got = build_good_cycles(grid, classification, process, ledger, claimed, r,
-                            exact_limit=exact_limit)
+                            mode=mode, exact_limit=exact_limit)
     if isinstance(got, BuildFailure):
-        got.mode = mode
         return got
     cycles = got
 

@@ -95,13 +95,17 @@ def lp_lengths(diff, p) -> np.ndarray:
 
     Every length in the package, event lengths, k-NN radii and cell offsets
     alike, goes through this one reduction, so lengths compared with ``==``
-    or used as cutoffs agree bit for bit wherever they are computed.
+    or used as cutoffs agree bit for bit wherever they are computed.  The
+    root goes through the ufunc (``np.sqrt`` at p = 2, as numpy's array
+    ``** 0.5`` does), never through ``np.float64.__pow__``, whose libm pow
+    can differ in the last ulp when a single pair is reduced to a scalar.
     """
     if math.isinf(p):
         return diff.max(axis=-1)
     if p == 1.0:
         return diff.sum(axis=-1)
-    return (diff ** p).sum(axis=-1) ** (1.0 / p)
+    s = (diff ** p).sum(axis=-1)
+    return np.sqrt(s) if p == 2.0 else np.power(s, 1.0 / p)
 
 
 def distance(a, b, p) -> float:

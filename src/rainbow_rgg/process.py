@@ -235,29 +235,25 @@ def snapshot(process: ColouredProcess, r: float) -> Snapshot:
     return Snapshot(process=process, r=float(r), m=m)
 
 
-def hitting_radius_min_degree(process: ColouredProcess, k: int) -> float:
+def hitting_radius_min_degree(process: ColouredProcess, k):
     """First event length after which every vertex has degree >= k.
 
     Equals the maximum over vertices of the k-th nearest neighbour distance.
-    Returns math.inf when the build cutoff is too small to reach it.
+    Returns math.inf when the build cutoff is too small to reach it.  A
+    tuple of k's gives the tuple of their radii from one scan.
     """
-    n = process.n
-    if k < 1 or n <= k:
+    ks = k if isinstance(k, tuple) else (k,)
+    if any(kk < 1 or process.n <= kk for kk in ks):
         raise ValueError("need 1 <= k < n")
-    m = process.m
-    if m == 0:
-        return math.inf
-    verts = np.concatenate([process.ei, process.ej])
-    eidx = np.concatenate([np.arange(m), np.arange(m)])
-    order = np.lexsort((eidx, verts))
-    sv = verts[order]
-    se = eidx[order]
-    left = np.searchsorted(sv, np.arange(n), side="left")
-    right = np.searchsorted(sv, np.arange(n), side="right")
-    if int((right - left).min()) < k:
-        return math.inf
-    kth = se[left + k - 1]
-    return float(process.elen[int(kth.max())])
+    # event t's endpoints sit at 2t and 2t + 1; a stable sort by vertex keeps
+    # each vertex's events in arrival order
+    verts = np.stack([process.ei, process.ej], axis=1).ravel()
+    order = np.argsort(verts, kind="stable")
+    deg = np.bincount(verts, minlength=process.n)
+    first = np.cumsum(deg) - deg
+    radii = tuple(float(process.elen[order[first + kk - 1].max() // 2])
+                  if deg.min() >= kk else math.inf for kk in ks)
+    return radii if isinstance(k, tuple) else radii[0]
 
 
 class _UnionFind:
@@ -349,15 +345,18 @@ def first_feasible_prefix(lo: int, hi: int, pred):
     return hi
 
 
-def hitting_radius_kconn(process: ColouredProcess, k: int) -> float:
+def hitting_radius_kconn(process: ColouredProcess, k: int,
+                         min_degree_radius: float | None = None) -> float:
     """First event length at which the snapshot is k-connected (k in {1, 2}).
 
     k = 1 scans the sorted events with a union-find.  k = 2 needs minimum
     degree 2, so it tests the prefix that ends at the min-degree-2 radius
-    first; the two radii coincide a.a.s. (Penrose, "On k-connectivity for a
-    geometric random graph", 1999).  Otherwise it bisects over longer
-    prefixes with an articulation-point test (k-connectivity is monotone
-    along the process).  math.inf when not reached by the cutoff.
+    first (scanned here unless the caller passes it as
+    ``min_degree_radius``); the two radii coincide a.a.s. (Penrose, "On
+    k-connectivity for a geometric random graph", 1999).  Otherwise it
+    bisects over longer prefixes with an articulation-point test
+    (k-connectivity is monotone along the process).  math.inf when not
+    reached by the cutoff.
     """
     n = process.n
     if k not in (1, 2):
@@ -382,7 +381,9 @@ def hitting_radius_kconn(process: ColouredProcess, k: int) -> float:
             adj[ej[s]].append(ei[s])
         return _is_biconnected(n, adj)
 
-    r_deg = hitting_radius_min_degree(process, 2)
+    r_deg = min_degree_radius
+    if r_deg is None:
+        r_deg = hitting_radius_min_degree(process, 2)
     if math.isinf(r_deg):
         return math.inf
     lo = int(np.searchsorted(process.elen, r_deg, side="right")) - 1
@@ -452,11 +453,12 @@ class HittingRadii:
 
 def compute_hitting_radii(process: ColouredProcess, ks=(1, 2),
                           include_kconn: bool = True) -> HittingRadii:
-    md = {k: hitting_radius_min_degree(process, k) for k in ks if k < process.n}
+    ks = tuple(k for k in ks if k < process.n)
+    md = dict(zip(ks, hitting_radius_min_degree(process, ks))) if ks else {}
     kc = {}
     if include_kconn:
-        kc = {k: hitting_radius_kconn(process, k) for k in (1, 2)
-              if k < process.n and k in ks}
+        kc = {k: hitting_radius_kconn(process, k, md[k] if k == 2 else None)
+              for k in (1, 2) if k in ks}
     return HittingRadii(min_degree=md, kconn=kc)
 
 

@@ -54,7 +54,8 @@ class CellGrid:
     """Uniform grid of m^d cells over [0,1]^d with resident counts.
 
     side == 1/m, so the grid tiles the cube with no remainder.  Flat cell
-    ids are C-order ravellings of the d multi-indices.
+    ids are C-order ravellings of the d multi-indices.  The residents of
+    cell c are ``residents[starts[c]:starts[c + 1]]``, in vertex order.
     """
 
     d: int
@@ -66,6 +67,8 @@ class CellGrid:
     p: float
     cell_of_vertex: np.ndarray
     counts: np.ndarray
+    starts: np.ndarray
+    residents: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -89,7 +92,7 @@ class CellGrid:
         return int(np.ravel_multi_index(multi, (self.m,) * self.d))
 
     def vertices_in(self, cell: int) -> np.ndarray:
-        return np.nonzero(self.cell_of_vertex == cell)[0]
+        return self.residents[self.starts[cell]:self.starts[cell + 1]]
 
     def boundary_distances(self, cell: int) -> np.ndarray:
         """(d, 2) array of cell-to-facet distances (lower, upper per axis)."""
@@ -120,7 +123,9 @@ def build_grid(points: PointSet, r0: float, epsilon: float) -> CellGrid:
     counts = np.bincount(flat, minlength=m ** d)
     return CellGrid(d=d, m=m, side=side, s_target=s_target, r0=float(r0),
                     epsilon=float(epsilon), p=points.p,
-                    cell_of_vertex=flat.astype(np.int64), counts=counts)
+                    cell_of_vertex=flat.astype(np.int64), counts=counts,
+                    starts=np.concatenate([[0], np.cumsum(counts)]),
+                    residents=np.argsort(flat, kind="stable"))
 
 
 def _offset_set_distance(delta, side: float, p: float) -> float:
@@ -135,12 +140,14 @@ def _offset_max_cross(delta, side: float, p: float) -> float:
 
 @dataclass
 class CellGraph:
-    """Adjacency of cells at set-distance <= threshold, as an offset stencil.
+    """Adjacency of cells at set-distance <= threshold, from an offset stencil.
 
     The set-distance between two cells depends only on their index offset,
-    so the whole graph is one stencil of offsets.  A non-positive threshold
-    (possible when epsilon is large for the dimension and norm) yields an
-    edgeless graph, flagged via ``degenerate_threshold``.
+    so the whole graph is one stencil of offsets, laid over the grid once
+    into compressed rows: the neighbours of cell c are
+    ``indices[indptr[c]:indptr[c + 1]]``, ascending.  A non-positive
+    threshold (possible when epsilon is large for the dimension and norm)
+    yields an edgeless graph, flagged via ``degenerate_threshold``.
     """
 
     grid: CellGrid
@@ -148,40 +155,34 @@ class CellGraph:
     stencil: list
     degenerate_threshold: bool
     degree_bound: float
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def neighbors(self, cell: int) -> list[int]:
-        g = self.grid
-        mi = g.multi(cell)
-        out = []
-        for delta in self.stencil:
-            nb = tuple(c + t for c, t in zip(mi, delta))
-            if all(0 <= x < g.m for x in nb):
-                out.append(g.flat(nb))
-        out.sort()
-        return out
+        return self.indices[self.indptr[cell]:self.indptr[cell + 1]].tolist()
 
     def are_adjacent(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        ma, mb = self.grid.multi(a), self.grid.multi(b)
-        delta = tuple(x - y for x, y in zip(ma, mb))
-        return delta in self._stencil_set
+        row = self.indices[self.indptr[a]:self.indptr[a + 1]]
+        k = int(np.searchsorted(row, b))
+        return k < row.size and bool(row[k] == b)
 
     def max_degree(self) -> int:
         """Exact maximum degree over cells (boundary cells lose neighbours)."""
-        g = self.grid
-        if not self.stencil:
-            return 0
-        deg = np.zeros((g.m,) * g.d, dtype=np.int64)
-        ones = np.ones((g.m,) * g.d, dtype=np.int64)
-        for delta in self.stencil:
-            src = tuple(slice(max(0, -t), g.m - max(0, t)) for t in delta)
-            dst = tuple(slice(max(0, t), g.m - max(0, -t)) for t in delta)
-            deg[dst] += ones[src]
-        return int(deg.max())
+        return int(np.diff(self.indptr).max())
 
-    def __post_init__(self):
-        self._stencil_set = set(self.stencil)
+
+def _stencil_rows(m: int, d: int, stencil: list):
+    """Compressed neighbour rows of the m^d grid under the stencil."""
+    ids = np.arange(m ** d).reshape((m,) * d)
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for delta in stencil:
+        # cells c with c + delta inside the grid, and those cells c + delta
+        src.append(ids[tuple(slice(max(0, -t), m - max(0, t)) for t in delta)].ravel())
+        dst.append(ids[tuple(slice(max(0, t), m - max(0, -t)) for t in delta)].ravel())
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order = np.lexsort((dst, src))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=m ** d))])
+    return indptr, dst[order]
 
 
 def build_cell_graph(grid: CellGrid, r0: float | None = None) -> CellGraph:
@@ -201,8 +202,10 @@ def build_cell_graph(grid: CellGrid, r0: float | None = None) -> CellGraph:
                 stencil.append(delta)
     theta = unit_ball_volume(grid.d, grid.p)
     bound = theta * (r0 + 2 * grid.d * grid.side) ** grid.d / grid.side ** grid.d + 1
+    indptr, indices = _stencil_rows(grid.m, grid.d, stencil)
     return CellGraph(grid=grid, threshold=threshold, stencil=stencil,
-                     degenerate_threshold=threshold <= 0, degree_bound=bound)
+                     degenerate_threshold=threshold <= 0, degree_bound=bound,
+                     indptr=indptr, indices=indices)
 
 
 def _components(cells: set, graph: CellGraph) -> list[list[int]]:
@@ -562,18 +565,15 @@ def verify_cross_pairs(grid: CellGrid, graph: CellGraph, points: PointSet):
     occupied cells, every cross pair of resident vertices must be within
     l_p distance r0.
     """
-    occupied: dict[int, np.ndarray] = {}
-    for v, c in enumerate(grid.cell_of_vertex.tolist()):
-        occupied.setdefault(c, []).append(v)
-    occupied = {c: np.array(vs) for c, vs in occupied.items()}
     pairs = 0
     violations = 0
     pts = points.points
-    for c, vs in occupied.items():
+    for c in np.nonzero(grid.counts)[0].tolist():
+        vs = grid.vertices_in(c)
         for nb in graph.neighbors(c):
-            if nb <= c or nb not in occupied:
+            if nb <= c or not grid.counts[nb]:
                 continue
-            ws = occupied[nb]
+            ws = grid.vertices_in(nb)
             dmat = lp_lengths(np.abs(pts[vs][:, None, :] - pts[ws][None, :, :]), grid.p)
             pairs += dmat.size
             violations += int((dmat > grid.r0 * (1 + 1e-12)).sum())

@@ -6,6 +6,7 @@ the hole, bad chains on its rim, per-cell cycles, and the stitch.  Each
 stage is also tested on its own against the invariants it must keep.
 """
 
+import hashlib
 import json
 import math
 
@@ -229,6 +230,23 @@ def test_colour_ugly_paths_collision(ring_cloud):
     assert got.reason == "colour collision on path edge"
 
 
+def test_stage_failures_carry_mode(ring_cloud, hole_cloud):
+    """Each stage labels its BuildFailure with the mode it is given."""
+    got = build_rainbow(hole_cloud, RADIUS, mode="pm", epsilon=EPSILON, n_colours=1,
+                        grid_radius=GRID_RADIUS)
+    assert (got.stage, got.mode) == ("good_cycle", "pm")
+    grid, graph, cls = _decompose(ring_cloud)
+    proc = build_process(ring_cloud, cutoff=RADIUS, n_colours=1)
+    plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
+    for mode in ("hc", "pm"):
+        got = colour_ugly_paths(plans, proc, RainbowLedger(), RADIUS, mode=mode)
+        assert (got.stage, got.mode) == ("ugly_colour", mode)
+        got = build_good_cycles(grid, cls, proc, RainbowLedger(), set(range(ring_cloud.n)),
+                                RADIUS, mode=mode)
+        assert (got.stage, got.reason, got.mode) == \
+            ("good_cycle", "good cell drained below cycle size", mode)
+
+
 # -- stage 3: bad chains ----------------------------------------------------
 
 def test_bad_forests_cover_bad_residents(ring_cloud):
@@ -394,3 +412,21 @@ def test_tampered_certificate_rejected(hole_cloud):
     assert validate_certificate(raw, proc) == []
     raw["edges"][0][2] += 1
     assert validate_certificate(raw, proc)
+
+
+# Certificates of the six builds below, hc then pm per cloud, joined by
+# newlines.  A refactor of the builder, the cell graph or the colour and
+# length lookups must leave this digest as it is.
+PINNED_CERTIFICATES_SHA256 = "25c628030f2c4a7ee21aabe7b74cc22ab51754e2976a0bbd0cf2338fd7716a8b"
+
+
+def test_engineered_certificates_pinned():
+    texts = []
+    for seed, ring_pts in ((0, 0), (1, 1), (3, 2)):
+        cloud = engineered_points(seed=seed, ring_pts=ring_pts)
+        for mode in ("hc", "pm"):
+            got = _staged(cloud, mode)
+            assert not isinstance(got, BuildFailure), got.to_json()
+            texts.append(got.to_json())
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_CERTIFICATES_SHA256

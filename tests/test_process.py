@@ -109,7 +109,20 @@ def test_colour_of_and_distance_of():
     a, b = int(proc.ei[k]), int(proc.ej[k])
     assert proc.colour_of(a, b) == int(proc.ecol[k])
     assert proc.colour_of(b, a) == int(proc.ecol[k])
-    assert proc.distance_of(a, b) == approx(float(proc.elen[k]))
+    assert proc.distance_of(a, b) == float(proc.elen[k])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("d", [2, 3])
+def test_distance_of_equals_event_length(p, d):
+    """One pair reduced on its own gets the same length, bit for bit, as
+    the batched reduction that produced the events; at p in {1.5, 2, 3}
+    a scalar root taken through libm pow differed in the last ulp."""
+    ps = sample_points(400, d, seed=21, p=p)
+    proc = build_process(ps, cutoff=0.3 if d == 2 else 0.5, K=20.0)
+    assert proc.m > 5000
+    got = [proc.distance_of(a, b) for a, b in zip(proc.ei.tolist(), proc.ej.tolist())]
+    assert got == proc.elen.tolist()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -197,6 +210,24 @@ def test_min_degree_radius_truncated_process():
     r = hitting_radius_min_degree(proc, 2)
     trunc = build_process(ps, cutoff=0.9 * r, K=20.0)
     assert math.isinf(hitting_radius_min_degree(trunc, 2))
+
+
+def test_min_degree_radii_from_one_scan():
+    """A tuple of k's gives each k's radius, as separate scans do; a cutoff
+    between the two radii leaves only the larger one unreached, and the
+    k = 2 connectivity scan gives the same radius with the min-degree-2
+    radius passed in as without it."""
+    ps = sample_points(80, 2, seed=4, p=3.0)
+    proc = build_process(ps, cutoff=math.inf, K=20.0)
+    r1, r2, r3 = hitting_radius_min_degree(proc, (1, 2, 3))
+    assert (r1, r2, r3) == tuple(hitting_radius_min_degree(proc, k) for k in (1, 2, 3))
+    assert r1 < r2
+    trunc = build_process(ps, cutoff=(r1 + r2) / 2, K=20.0)
+    assert hitting_radius_min_degree(trunc, (2, 1)) == (math.inf, r1)
+    assert hitting_radius_kconn(proc, 2, r2) == hitting_radius_kconn(proc, 2)
+    assert math.isinf(hitting_radius_kconn(trunc, 2, math.inf))
+    with pytest.raises(ValueError):
+        hitting_radius_min_degree(proc, (1, 80))
 
 
 def _connectivity_radius_oracle(points, p):

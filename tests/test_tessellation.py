@@ -143,6 +143,36 @@ def test_max_degree_within_bound():
     assert graph.max_degree() == 8  # full ring at this radius/epsilon pair
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d, eps", [(2, 0.3), (2, 0.05), (2, 0.01), (3, 0.3), (3, 0.05)])
+def test_neighbour_rows_match_stencil_walk(p, d, eps):
+    """The compressed rows equal, cell by cell, the stencil offsets added to
+    the cell's multi-index, kept inside the grid and sorted; grids of 3 to
+    24 cells per axis, stencils from empty to several hundred offsets."""
+    grid = build_grid(sample_points(60, d, seed=3, p=p), 0.3, eps)
+    for reach in (-1.0, 0.5, 2.5):
+        graph = build_cell_graph(grid, 2 * d * grid.side + reach * grid.side)
+        assert graph.degenerate_threshold == (reach < 0)
+        longest = 0
+        for cell in range(grid.n_cells):
+            mi = grid.multi(cell)
+            walk = sorted(grid.flat(nb) for nb in
+                          (tuple(c + t for c, t in zip(mi, delta)) for delta in graph.stencil)
+                          if all(0 <= x < grid.m for x in nb))
+            assert graph.neighbors(cell) == walk
+            longest = max(longest, len(walk))
+        assert graph.max_degree() == longest
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_resident_index_matches_scan(d):
+    grid = build_grid(sample_points(500, d, seed=9), 0.3, 0.01)
+    assert (grid.counts == 0).any()
+    for cell in range(grid.n_cells):
+        assert np.array_equal(grid.vertices_in(cell),
+                              np.nonzero(grid.cell_of_vertex == cell)[0])
+
+
 def test_cross_pair_guarantee_uniform_clouds():
     """Residents of adjacent cells are within r0: exhaustive, several seeds."""
     for seed in range(4):
