@@ -8,9 +8,9 @@ from .geometry import (BallVolumes, PointSet, ball_volumes, cube_diameter,
                        save_points, unit_ball_volume)
 from .process import (ColouredProcess, HittingRadii, ReferenceRadii, Snapshot,
                       build_process, compute_hitting_radii, default_omega,
-                      events_csv_text, events_from_csv, events_to_csv,
-                      first_feasible_prefix, hitting_radii_from_json,
-                      hitting_radii_to_json, hitting_radius_kconn,
+                      events_csv_text, first_feasible_prefix,
+                      hitting_radii_from_json, hitting_radii_to_json,
+                      hitting_radius_kconn,
                       hitting_radius_min_degree, pair_colours, reference_radii,
                       snapshot)
 from .tessellation import (CellClassification, CellGraph, CellGrid,

@@ -27,24 +27,20 @@ def _as_sets(n, adj):
     return out
 
 
-def exact_hamilton_path(n, adj) -> list | None:
-    """Complete search for a Hamilton path with free endpoints."""
-    if n == 0:
-        return None
-    if n == 1:
-        return [0]
-    adj = _as_sets(n, adj)
-    masks = [0] * (1 << n)
+def _hamilton_dp(n, adj, seeds, step):
+    """Bitmask DP over the vertex sets containing a seed.  Returns the end
+    mask of the full set (bit v: some path from a seed through every vertex
+    ends at v) and the parent of each (set, end).  Sets are visited in
+    increasing order from 1 in the given step; step 2 keeps the sets that
+    hold vertex 0."""
+    ends = [0] * (1 << n)
     parent = {}
-    for v in range(n):
-        masks[1 << v] = 1 << v
+    for v in seeds:
+        ends[1 << v] = 1 << v
     full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        ends = masks[mask]
-        if not ends:
-            continue
+    for mask in range(1, full + 1, step):
+        e = ends[mask]
         v = 0
-        e = ends
         while e:
             if e & 1:
                 for w in adj[v]:
@@ -52,17 +48,21 @@ def exact_hamilton_path(n, adj) -> list | None:
                     if mask & bit:
                         continue
                     nm = mask | bit
-                    if not masks[nm] & bit:
-                        masks[nm] |= bit
+                    if not ends[nm] & bit:
+                        ends[nm] |= bit
                         parent[(nm, w)] = v
             e >>= 1
             v += 1
-    ends = masks[full]
+    return ends[full], parent
+
+
+def _unwind(n, parent, ends) -> list | None:
+    """The path through every vertex ending at the lowest end bit."""
     if not ends:
         return None
     v = (ends & -ends).bit_length() - 1
     path = [v]
-    mask = full
+    mask = (1 << n) - 1
     while len(path) < n:
         u = parent[(mask, v)]
         mask ^= 1 << v
@@ -70,6 +70,16 @@ def exact_hamilton_path(n, adj) -> list | None:
         v = u
     path.reverse()
     return path
+
+
+def exact_hamilton_path(n, adj) -> list | None:
+    """Complete search for a Hamilton path with free endpoints."""
+    if n == 0:
+        return None
+    if n == 1:
+        return [0]
+    ends, parent = _hamilton_dp(n, _as_sets(n, adj), range(n), 1)
+    return _unwind(n, parent, ends)
 
 
 def exact_hamilton_cycle(n, adj) -> list | None:
@@ -77,47 +87,9 @@ def exact_hamilton_cycle(n, adj) -> list | None:
     if n < 3:
         return None
     adj = _as_sets(n, adj)
-    masks = [0] * (1 << n)
-    parent = {}
-    masks[1] = 1
-    full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        if not mask & 1:
-            continue
-        ends = masks[mask]
-        if not ends:
-            continue
-        v = 0
-        e = ends
-        while e:
-            if e & 1:
-                for w in adj[v]:
-                    bit = 1 << w
-                    if mask & bit:
-                        continue
-                    nm = mask | bit
-                    if not masks[nm] & bit:
-                        masks[nm] |= bit
-                        parent[(nm, w)] = v
-            e >>= 1
-            v += 1
-    ends = masks[full]
-    close = 0
-    for w in adj[0]:
-        close |= 1 << w
-    ends &= close & ~1
-    if not ends:
-        return None
-    v = (ends & -ends).bit_length() - 1
-    path = [v]
-    mask = full
-    while len(path) < n:
-        u = parent[(mask, v)]
-        mask ^= 1 << v
-        path.append(u)
-        v = u
-    path.reverse()
-    return path
+    ends, parent = _hamilton_dp(n, adj, [0], 2)
+    close = sum(1 << w for w in adj[0])
+    return _unwind(n, parent, ends & close & ~1)
 
 
 def _posa_path(n, adj, start) -> list | None:

@@ -13,9 +13,10 @@ experiment harness are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 __all__ = [
     "ColouredGraphInstance",
@@ -238,6 +239,8 @@ def validate_certificate(cert: dict, process) -> list[str]:
     the coupled colouring.  Lengths and colours are recomputed from the
     points and the colour coupling, for all edges at once.
     """
+    from scipy.sparse.csgraph import connected_components
+
     from .geometry import lp_lengths
     from .process import pair_colours
     problems = []
@@ -288,19 +291,9 @@ def validate_certificate(cert: dict, process) -> list[str]:
             problems.append("not every vertex has degree 2")
         else:
             # degree-2 everywhere plus n edges: connected iff single cycle
-            adj = {}
-            for (i, j, _, _) in edges:
-                adj.setdefault(i, []).append(j)
-                adj.setdefault(j, []).append(i)
-            seen = {1}
-            queue = [1]
-            while queue:
-                v = queue.pop()
-                for w in adj.get(v, []):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != n:
+            # (a self-loop is left out of ii, jj and so isolates its vertex)
+            cycle = csr_matrix((np.ones(ii.size), (ii, jj)), shape=(n, n))
+            if connected_components(cycle, directed=False)[0] != 1:
                 problems.append("edges form multiple cycles, not one")
     else:
         if len(edges) != n // 2 or n % 2:

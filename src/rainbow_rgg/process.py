@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,8 +49,6 @@ __all__ = [
     "reference_radii",
     "compute_hitting_radii",
     "events_csv_text",
-    "events_to_csv",
-    "events_from_csv",
     "hitting_radii_to_json",
     "hitting_radii_from_json",
 ]
@@ -194,7 +192,6 @@ class Snapshot:
     process: ColouredProcess
     r: float
     m: int
-    _adj: list | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -203,26 +200,6 @@ class Snapshot:
     def edges(self):
         pr = self.process
         return pr.ei[: self.m], pr.ej[: self.m], pr.elen[: self.m], pr.ecol[: self.m]
-
-    def adjacency(self) -> list[list[int]]:
-        """Sorted adjacency lists, built once on demand."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            pr = self.process
-            for a, b in zip(pr.ei[: self.m].tolist(), pr.ej[: self.m].tolist()):
-                adj[a].append(b)
-                adj[b].append(a)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
-
-    def degrees(self) -> np.ndarray:
-        pr = self.process
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, pr.ei[: self.m], 1)
-        np.add.at(deg, pr.ej[: self.m], 1)
-        return deg
 
 
 def snapshot(process: ColouredProcess, r: float) -> Snapshot:
@@ -497,25 +474,3 @@ def events_csv_text(process: ColouredProcess) -> str:
                           process.elen.tolist(), process.ecol.tolist()):
         w.writerow([a + 1, b + 1, repr(l), c])
     return out.getvalue()
-
-
-def events_to_csv(process: ColouredProcess, path) -> None:
-    """Write the event stream CSV to a file."""
-    with open(path, "w", newline="") as fh:
-        fh.write(events_csv_text(process))
-
-
-def events_from_csv(path):
-    """Read an event CSV back as (i, j, length, colour) arrays, 0-based."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header[:4] != ["i", "j", "length", "colour"]:
-            raise ValueError("unexpected event CSV header")
-        rows = [(int(r[0]) - 1, int(r[1]) - 1, float(r[2]), int(r[3])) for r in rd]
-    if not rows:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.float64), np.empty(0, np.int64))
-    ii, jj, ll, cc = zip(*rows)
-    return (np.array(ii, np.int64), np.array(jj, np.int64),
-            np.array(ll, np.float64), np.array(cc, np.int64))

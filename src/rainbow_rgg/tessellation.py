@@ -24,11 +24,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, identity
 
-from .geometry import PointSet, check_norm, json_safe, lp_lengths, unit_ball_volume
+from .geometry import PointSet, json_safe, lp_lengths, unit_ball_volume
 
 __all__ = [
     "CellGrid",
@@ -172,10 +173,16 @@ class CellGraph:
 
 
 def _stencil_rows(m: int, d: int, stencil: list):
-    """Compressed neighbour rows of the m^d grid under the stencil."""
+    """Compressed neighbour rows of the m^d grid under the stencil.
+
+    Offsets with a component of length >= m join no two cells (the shifted
+    slices below would wrap around for them), so they are dropped.
+    """
     ids = np.arange(m ** d).reshape((m,) * d)
     src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for delta in stencil:
+        if any(abs(t) >= m for t in delta):
+            continue
         # cells c with c + delta inside the grid, and those cells c + delta
         src.append(ids[tuple(slice(max(0, -t), m - max(0, t)) for t in delta)].ravel())
         dst.append(ids[tuple(slice(max(0, t), m - max(0, -t)) for t in delta)].ravel())
@@ -208,26 +215,25 @@ def build_cell_graph(grid: CellGrid, r0: float | None = None) -> CellGraph:
                      indptr=indptr, indices=indices)
 
 
-def _components(cells: set, graph: CellGraph) -> list[list[int]]:
-    """Connected components of the induced cell subgraph, deterministic order."""
-    seen = set()
-    comps = []
-    for start in sorted(cells):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            c = queue.pop()
-            for nb in graph.neighbors(c):
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    queue.append(nb)
-        comp.sort()
-        comps.append(comp)
-    return comps
+def _matrix(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    """The compressed rows as a sparse adjacency matrix."""
+    n = indptr.size - 1
+    return csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+
+
+def _components(cells, indptr, indices) -> list[list[int]]:
+    """Connected components of the subgraph that the compressed rows induce
+    on ``cells``: each ascending, ordered by their smallest cell."""
+    # csgraph loads scipy.sparse.linalg, so it is imported on first use,
+    # not with the package
+    from scipy.sparse.csgraph import connected_components
+    cells = sorted(cells)
+    labels = connected_components(_matrix(indptr, indices)[cells][:, cells],
+                                  directed=False)[1]
+    comps = {}
+    for c, label in zip(cells, labels.tolist()):
+        comps.setdefault(label, []).append(c)
+    return list(comps.values())
 
 
 @dataclass
@@ -270,9 +276,10 @@ def classify_cells(grid: CellGrid, graph: CellGraph) -> CellClassification:
     if not dense:
         return CellClassification(grid=grid, graph=graph, dense_threshold=dense_threshold,
                                   good=[], bad=[], ugly=sorted(all_cells),
-                                  ugly_components=_components(all_cells, graph),
+                                  ugly_components=_components(all_cells, graph.indptr,
+                                                              graph.indices),
                                   degenerate=True)
-    comps = _components(dense, graph)
+    comps = _components(dense, graph.indptr, graph.indices)
     comps.sort(key=lambda c: (-len(c), c[0]))
     good = comps[0]
     good_set = set(good)
@@ -286,7 +293,7 @@ def classify_cells(grid: CellGrid, graph: CellGraph) -> CellClassification:
         assert not any(nb in good_set for nb in graph.neighbors(c))
     bad_set = set(bad)
     ugly = sorted(all_cells - good_set - bad_set)
-    ugly_components = _components(set(ugly), graph)
+    ugly_components = _components(ugly, graph.indptr, graph.indices)
     return CellClassification(grid=grid, graph=graph, dense_threshold=dense_threshold,
                               good=good, bad=bad, ugly=ugly,
                               ugly_components=ugly_components, degenerate=False)
@@ -325,7 +332,8 @@ def _ugly_separation(classification: CellClassification, A: float) -> float:
     for ci, comp in enumerate(comps):
         for c in comp:
             comp_id[grid.multi(c)] = ci
-    reach = int(A * grid.r0 / grid.side) + 2
+    # offsets of m or more cells along an axis join no two cells
+    reach = min(int(A * grid.r0 / grid.side) + 2, grid.m - 1)
     best = math.inf
     for delta in itertools.product(range(-reach, reach + 1), repeat=grid.d):
         if tuple(delta) <= tuple([0] * grid.d):
@@ -346,12 +354,14 @@ def _ugly_separation(classification: CellClassification, A: float) -> float:
 def _good_near_ugly(classification: CellClassification, diameter_bound: float):
     """For each ugly cell: do good cells within l_inf 3 r0 induce a connected
     subgraph of the cell graph, with bounded graph diameter?"""
+    from scipy.sparse.csgraph import shortest_path
     grid = classification.grid
     graph = classification.graph
     good = classification.good
     if not good:
         return True, 0, 0.0
     good_multis = np.array([grid.multi(c) for c in good], dtype=np.int64)
+    adj = _matrix(graph.indptr, graph.indices)
     failures = 0
     worst_diam = 0
     for u in classification.ugly:
@@ -361,37 +371,16 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
         if near.size <= 1:
             continue
         sel = [good[i] for i in near]
-        sel_set = set(sel)
-        # BFS from the first cell, tracking eccentricity
-        start = sel[0]
-        dist = {start: 0}
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            c = queue[qi]
-            qi += 1
-            for nb in graph.neighbors(c):
-                if nb in sel_set and nb not in dist:
-                    dist[nb] = dist[c] + 1
-                    queue.append(nb)
-        if len(dist) < len(sel):
+        # hop distances from the first selected cell
+        dist = shortest_path(adj[sel][:, sel], directed=False, unweighted=True, indices=0)
+        if np.isinf(dist).any():
             failures += 1
             continue
-        ecc = max(dist.values())
+        ecc = dist.max()
         worst_diam = max(worst_diam, ecc)  # eccentricity lower-bounds diameter
         if ecc > diameter_bound:
             failures += 1
     return failures == 0, failures, float(worst_diam)
-
-
-def _power_adjacency(points: np.ndarray, p: float, radius: float) -> list[set]:
-    from .process import _pairs_within
-    adj = [set() for _ in range(points.shape[0])]
-    ii, jj, _ = _pairs_within(points, radius, p)
-    for a, b in zip(ii.tolist(), jj.tolist()):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
 
 
 def _facet_proximity_counts(grid: CellGrid, cells, A: float) -> np.ndarray:
@@ -417,43 +406,19 @@ def _sparse_boundary_sets(classification: CellClassification, A: float, ell: int
     d = grid.d
     eps = grid.epsilon
     bounds = [(d - i) / d * (1 + eps) / eps for i in range(d)] + [0.0]
-    sparse = [c for c in range(grid.n_cells)
-              if grid.counts[c] < classification.dense_threshold]
+    sparse = np.nonzero(grid.counts < classification.dense_threshold)[0].tolist()
     sizes = [0] * (d + 1)
     if not sparse:
         return sizes, bounds
     # offsets reachable within ell stencil steps
-    power = {tuple([0] * d)}
-    frontier = set(power)
+    power = {(0,) * d}
     for _ in range(ell):
-        new = set()
-        for base in frontier:
-            for delta in graph.stencil:
-                new.add(tuple(b + t for b, t in zip(base, delta)))
-        frontier = new - power
-        power |= frontier
-    power.discard(tuple([0] * d))
-    facet_counts = dict(zip(sparse, _facet_proximity_counts(grid, sparse, A).tolist()))
-    sparse_set = set(sparse)
-    seen = set()
-    for start in sparse:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            c = queue.pop()
-            mi = grid.multi(c)
-            for delta in power:
-                nb = tuple(x + t for x, t in zip(mi, delta))
-                if all(0 <= x < grid.m for x in nb):
-                    nf = grid.flat(nb)
-                    if nf in sparse_set and nf not in seen:
-                        seen.add(nf)
-                        comp.append(nf)
-                        queue.append(nf)
-        top_facets = max(facet_counts[c] for c in comp)
+        power |= {tuple(b + t for b, t in zip(base, delta))
+                  for base in power for delta in graph.stencil}
+    power.discard((0,) * d)
+    indptr, indices = _stencil_rows(grid.m, d, power)
+    for comp in _components(sparse, indptr, indices):
+        top_facets = int(_facet_proximity_counts(grid, comp, A).max())
         for i in range(min(top_facets, d) + 1):
             sizes[i] = max(sizes[i], len(comp))
     return sizes, bounds
@@ -523,24 +488,16 @@ def diagnostics(grid: CellGrid, graph: CellGraph, classification: CellClassifica
     }
 
     if points is not None and r1 is not None:
-        adj = _power_adjacency(points.points, points.p, r1)
-        deg1 = max((len(s) for s in adj), default=0)
-        deg_ell = deg1
-        if ell >= 2:
-            best = 0
-            for v in range(len(adj)):
-                reach = set(adj[v])
-                frontier = reach
-                for _ in range(ell - 1):
-                    new = set()
-                    for w in frontier:
-                        new |= adj[w]
-                    new -= reach
-                    new.discard(v)
-                    frontier = new
-                    reach |= new
-                best = max(best, len(reach))
-            deg_ell = best
+        from .process import _pairs_within
+        ii, jj, _ = _pairs_within(points.points, r1, points.p)
+        adj = csr_matrix((np.ones(2 * ii.size), (np.r_[ii, jj], np.r_[jj, ii])),
+                         shape=(points.n, points.n))
+        deg1 = int(adj.getnnz(axis=1).max())
+        # rows of (A + I)^ell hold every vertex within ell hops, itself included
+        walk = reach = adj + identity(points.n, format="csr")
+        for _ in range(ell - 1):
+            walk = walk @ reach
+        deg_ell = int(walk.getnnz(axis=1).max()) - 1
         checks["power_graph_degree"] = {
             "passed": None,
             "measured": {"max_degree_1": deg1, "max_degree_ell": deg_ell,

@@ -6,6 +6,8 @@ crowded cells with a deliberately sparse hole in the middle.  The hole
 produces ugly/bad cells and exercises every stage of the builder.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,18 @@ def engineered_points(seed=0, m=11, per_cell=6, hole=(4, 7), centre=(5, 5),
             for _ in range(k):
                 pts.append(base + s * (0.1 + 0.8 * rng.random(2)))
     return PointSet(np.array(pts), seed=seed)
+
+
+def read_events_csv(path):
+    """Rows of an event CSV as (i, j, length, colour) arrays, 0-based ids."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "length", "colour"]
+    body = rows[1:]
+    return (np.array([int(r[0]) - 1 for r in body], np.int64),
+            np.array([int(r[1]) - 1 for r in body], np.int64),
+            np.array([float(r[2]) for r in body], np.float64),
+            np.array([int(r[3]) for r in body], np.int64))
 
 
 # Tessellation parameters that pair with engineered_points(m=11):

@@ -11,7 +11,6 @@ import pytest
 
 from rainbow_rgg import (
     build_process,
-    events_from_csv,
     hitting_radii_from_json,
     instance_to_text,
     load_points,
@@ -20,6 +19,8 @@ from rainbow_rgg import (
 )
 from rainbow_rgg.cli import build_parser, main
 from rainbow_rgg.oracle import ColouredGraphInstance
+
+from conftest import read_events_csv
 
 
 def test_parser_lists_all_subcommands():
@@ -35,7 +36,7 @@ def test_simulate_writes_events_and_points(tmp_path):
     rc = main(["simulate", "--n", "12", "--seed", "3", "--cutoff", "0.5",
                "--out", str(out), "--points-out", str(pts_out)])
     assert rc == 0
-    ii, jj, ll, cc = events_from_csv(out)
+    ii, jj, ll, cc = read_events_csv(out)
     assert len(ii) > 0
     assert all(l <= 0.5 for l in ll)
     pts = load_points(pts_out)

@@ -304,6 +304,23 @@ def test_validate_detects_repeated_colours():
     assert any("distinct" in p for p in probs)
 
 
+def test_validate_detects_two_cycles():
+    """Two triangles: every vertex has degree 2 and there are n edges, but
+    they are not one cycle."""
+    ps = sample_points(6, 2, seed=6)
+    proc = build_process(ps, cutoff=math.inf, n_colours=50, colour_seed=0)
+
+    def cert(pairs):
+        edges = [[a + 1, b + 1, proc.colour_of(a, b), proc.distance_of(a, b)]
+                 for a, b in pairs]
+        return {"mode": "hc", "n": 6, "radius": 2.0, "edges": edges}
+
+    two = validate_certificate(cert([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), proc)
+    assert "edges form multiple cycles, not one" in two
+    one = validate_certificate(cert([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]), proc)
+    assert "edges form multiple cycles, not one" not in one
+
+
 def test_validate_matching_structure():
     ps = sample_points(6, 2, seed=7)
     proc = build_process(ps, cutoff=math.inf, n_colours=12, colour_seed=3)

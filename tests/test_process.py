@@ -19,8 +19,7 @@ from rainbow_rgg import (
     compute_hitting_radii,
     cube_diameter,
     default_omega,
-    events_from_csv,
-    events_to_csv,
+    events_csv_text,
     exact_hitting_rainbow,
     first_feasible_prefix,
     hitting_radii,
@@ -36,6 +35,8 @@ from rainbow_rgg import (
     snapshot,
     unit_ball_volume,
 )
+
+from conftest import read_events_csv
 
 
 # -- colour coupling --------------------------------------------------------
@@ -163,16 +164,6 @@ def test_snapshot_matches_brute_force():
     got = {(min(a, b), max(a, b)) for a, b in zip(ei.tolist(), ej.tolist())}
     assert got == expect
     assert np.all(elen <= 0.3)
-
-
-def test_snapshot_degrees():
-    ps = sample_points(20, 2, seed=8)
-    proc = build_process(ps, cutoff=math.inf, K=20.0)
-    snap = snapshot(proc, 0.4)
-    degs = snap.degrees()
-    assert degs.sum() == 2 * snap.m
-    adj = snap.adjacency()
-    assert all(len(adj[v]) == degs[v] for v in range(20))
 
 
 # -- hitting radii ---------------------------------------------------------
@@ -426,8 +417,8 @@ def test_events_csv_round_trip(tmp_path):
     ps = sample_points(20, 2, seed=10)
     proc = build_process(ps, cutoff=0.5, K=2.0, colour_seed=4)
     path = tmp_path / "events.csv"
-    events_to_csv(proc, path)
-    ii, jj, ll, cc = events_from_csv(path)
+    path.write_text(events_csv_text(proc))
+    ii, jj, ll, cc = read_events_csv(path)
     assert np.array_equal(ii, proc.ei)
     assert np.array_equal(jj, proc.ej)
     assert np.array_equal(ll, proc.elen)
