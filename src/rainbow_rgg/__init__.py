@@ -21,14 +21,12 @@ from .hamilton import (exact_hamilton_cycle, exact_hamilton_path,
                        hamilton_cycle, hamilton_path)
 from .oracle import (HC_VERTEX_LIMIT, PM_VERTEX_LIMIT, ColouredGraphInstance,
                      exact_hitting_rainbow, exact_rainbow_hamilton_cycle,
-                     exact_rainbow_perfect_matching, instance_from_process,
-                     instance_from_text, instance_to_text, rainbow_witness_at,
-                     validate_certificate)
+                     exact_rainbow_perfect_matching, instance_from_text,
+                     instance_to_text, rainbow_witness_at, validate_certificate)
 from .builder import (BadPath, BuildFailure, GoodCycle, RainbowCertificate,
                       RainbowLedger, StitchPlan, UglyPathPlan, apply_stitch,
                       build_bad_forests, build_good_cycles, build_rainbow,
-                      build_stitch_plan, certificate_from_json,
-                      colour_ugly_paths, plan_ugly_paths)
+                      build_stitch_plan, colour_ugly_paths, plan_ugly_paths)
 from .harness import (ExperimentConfig, TrialRecord, corollary_radius,
                       finite_n_cdf_pm, hitting_radii, limit_cdf_hc,
                       limit_cdf_pm, max_knn_distance, min_degree_law_experiment,

@@ -27,16 +27,14 @@ fall back to the exact oracle when the instance is small enough.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, distance, json_safe, lp_lengths
+from .geometry import PointSet, json_safe, lp_lengths
 from .hamilton import hamilton_cycle, hamilton_path
-from .process import (ColouredProcess, build_process, default_omega, pair_colours,
-                      reference_radii)
+from .process import ColouredProcess, build_process, reference_radii
 from .tessellation import (CellClassification, CellGraph, CellGrid,
                            TessellationRegimeError, build_cell_graph,
                            build_grid, classify_cells)
@@ -57,7 +55,6 @@ __all__ = [
     "build_stitch_plan",
     "apply_stitch",
     "build_rainbow",
-    "certificate_from_json",
 ]
 
 
@@ -129,14 +126,6 @@ class RainbowCertificate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def certificate_from_json(text: str) -> dict:
-    """Parse a serialized certificate back to its dict form (1-based edges)."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "edges" not in data:
-        raise ValueError("not a certificate")
-    return data
-
-
 # -- Stage 1: paths through ugly components ---------------------------------
 
 @dataclass
@@ -179,18 +168,21 @@ class _SpareVertexPool:
             return False
         return len(self.unclaimed_in(cell)) > 3
 
-    def take(self, cell: int, prefer=None) -> int | None:
-        """Claim one spare vertex of the cell; smallest index, or the
-        vertex closest to ``prefer`` when given."""
-        if not self.can_drain(cell):
-            return None
-        cand = self.unclaimed_in(cell)
-        if prefer is not None:
-            cand.sort(key=lambda v: (distance(prefer, self.coords[v], self.grid.p), v))
-        v = cand[0]
+    def claim(self, v: int, cell: int) -> int:
         self.claimed.add(v)
         self.drains[cell] = self.drains.get(cell, 0) + 1
         return v
+
+    def take(self, cell: int, prefer=None) -> int | None:
+        """Claim one spare vertex of the cell; smallest index, or the
+        vertex closest to ``prefer`` when given (ties to the smaller)."""
+        if not self.can_drain(cell):
+            return None
+        cand = self.unclaimed_in(cell)
+        k = 0
+        if prefer is not None:
+            k = int(np.argmin(lp_lengths(np.abs(self.coords[cand] - prefer), self.grid.p)))
+        return self.claim(cand[k], cell)
 
 
 def _geom_adjacency(vertices, points: PointSet, r: float):
@@ -208,32 +200,9 @@ def _geom_adjacency(vertices, points: PointSet, r: float):
     return adj
 
 
-def _exit_candidates(endpoint: int, points: PointSet, grid: CellGrid,
-                     pool: _SpareVertexPool, r: float):
-    """Good cells with a spare vertex within r of the endpoint, each with
-    its nearest eligible vertex, sorted by (distance, vertex)."""
-    x = points.points[endpoint]
-    reach = int(r / grid.side) + 1
-    base = grid.multi(int(grid.cell_of_vertex[endpoint]))
-    found = []
-    for delta in itertools.product(range(-reach, reach + 1), repeat=grid.d):
-        nb = tuple(b + t for b, t in zip(base, delta))
-        if not all(0 <= u < grid.m for u in nb):
-            continue
-        cell = grid.flat(nb)
-        if cell not in pool.good_set or not pool.can_drain(cell):
-            continue
-        for v in pool.unclaimed_in(cell):
-            dd = distance(x, points.points[v], points.p)
-            if dd <= r:
-                found.append((dd, v, cell))
-    found.sort()
-    return found
-
-
 def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                     classification: CellClassification, r: float,
-                    mode: str = "hc", exact_limit: int = 10):
+                    mode: str = "hc"):
     """Stage 1: plan a path through every inhabited ugly component.
 
     Returns (plans, claimed) or a BuildFailure.  Claimed vertices (path
@@ -250,14 +219,15 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
 
     def park(endpoint):
         """Claim the nearest spare good-cell vertex within r of the
-        endpoint; (vertex, cell), or None when there is none."""
-        cand = _exit_candidates(endpoint, points, grid, pool, r)
-        if not cand:
-            return None
-        _, v, cell = cand[0]
-        pool.claimed.add(v)
-        pool.drains[cell] = pool.drains.get(cell, 0) + 1
-        return v, cell
+        endpoint, ties to the smaller index; (vertex, cell), or None when
+        there is none."""
+        dist = lp_lengths(np.abs(points.points - points.points[endpoint]), points.p)
+        near = np.nonzero(dist <= r)[0]
+        for v in near[np.argsort(dist[near], kind="stable")].tolist():
+            cell = int(grid.cell_of_vertex[v])
+            if v not in claimed and cell in pool.good_set and pool.can_drain(cell):
+                return pool.claim(v, cell), cell
+        return None
 
     for comp in classification.ugly_components:
         vertices = sorted(v for c in comp for v in grid.vertices_in(c).tolist()
@@ -265,7 +235,7 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         if not vertices:
             continue
         adj = _geom_adjacency(vertices, points, r)
-        order = hamilton_path(len(vertices), adj, exact_limit=exact_limit)
+        order = hamilton_path(len(vertices), adj)
         if order is None:
             return fail("no spanning path through ugly component",
                         component_cells=comp, vertices=len(vertices))
@@ -300,32 +270,24 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         path = [head] + interior + [tail]
         anchor = head_cell
         if not (tail_cell == head_cell or graph.are_adjacent(head_cell, tail_cell)):
-            # corridor: walk the good-cell graph from the tail cell until a
-            # cell adjacent-or-equal to the head cell, one vertex per cell
+            # corridor: the shortest walk over good cells from the tail cell
+            # to the head cell or a good neighbour of it, one vertex per cell;
+            # the tail cell is neither, and rows are walked in ascending order
+            from scipy.sparse.csgraph import breadth_first_order
+            good = classification.good
             targets = {head_cell} | (set(graph.neighbors(head_cell)) & pool.good_set)
-            prev = {tail_cell: None}
-            queue = [tail_cell]
-            goal = None
-            qi = 0
-            while qi < len(queue) and goal is None:
-                c = queue[qi]
-                qi += 1
-                for nb in graph.neighbors(c):
-                    if nb in pool.good_set and nb not in prev:
-                        prev[nb] = c
-                        if nb in targets:
-                            goal = nb
-                            break
-                        queue.append(nb)
+            start = good.index(tail_cell)
+            reached, prev = breadth_first_order(graph.induced(good), start,
+                                                return_predecessors=True)
+            goal = next((k for k in reached.tolist() if good[k] in targets), None)
             if goal is None:
                 return fail("no good-cell corridor between path ends",
                             component_cells=comp, head_cell=head_cell,
                             tail_cell=tail_cell)
             cells = []
-            c = goal
-            while c != tail_cell:
-                cells.append(c)
-                c = prev[c]
+            while goal != start:
+                cells.append(good[goal])
+                goal = prev[goal]
             cells.reverse()
             cur = tail
             for cell in cells:
@@ -351,13 +313,12 @@ def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger,
     """
     for pi, plan in enumerate(plans):
         edges = []
-        for a, b in zip(plan.path, plan.path[1:]):
-            ln = process.distance_of(a, b)
+        lens, cols = process.pairs(plan.path[:-1], plan.path[1:])
+        for a, b, ln, c in zip(plan.path, plan.path[1:], lens.tolist(), cols.tolist()):
             if ln > r * (1 + 1e-12):
                 return BuildFailure(stage="ugly_colour", reason="path edge exceeds radius",
                                     mode=mode, n=process.n, target_radius=r,
                                     details={"edge": [a + 1, b + 1], "length": ln})
-            c = process.colour_of(a, b)
             if not ledger.claim(c):
                 return BuildFailure(stage="ugly_colour", reason="colour collision on path edge",
                                     mode=mode, n=process.n, target_radius=r,
@@ -404,9 +365,8 @@ def build_bad_forests(grid: CellGrid, graph: CellGraph,
         parent = parents[0]
         seg = [vs[0]]
         seg_edges = []
-        for a, b in zip(vs, vs[1:]):
-            ln = process.distance_of(a, b)
-            c = process.colour_of(a, b)
+        lens, cols = process.pairs(vs[:-1], vs[1:])
+        for a, b, ln, c in zip(vs, vs[1:], lens.tolist(), cols.tolist()):
             if ln <= r * (1 + 1e-12) and ledger.claim(c):
                 seg.append(b)
                 seg_edges.append((a, b, c, ln))
@@ -433,13 +393,12 @@ class GoodCycle:
 
 def build_good_cycles(grid: CellGrid, classification: CellClassification,
                       process: ColouredProcess, ledger: RainbowLedger,
-                      claimed: set, r: float, mode: str = "hc", exact_limit: int = 10):
+                      claimed: set, r: float, mode: str = "hc"):
     """Stage 4: in each good cell, keep edges whose colour occurs exactly
     once within the cell and is globally unclaimed, then find a Hamilton
     cycle on what remains.  Distinct survivors automatically have distinct
     colours, so the cycle is rainbow.
     """
-    pts = process.points.points
     cycles = {}
     for cell in classification.good:
         vs = [v for v in grid.vertices_in(cell).tolist() if v not in claimed]
@@ -449,11 +408,9 @@ def build_good_cycles(grid: CellGrid, classification: CellClassification,
                                 details={"cell": cell, "remaining": len(vs)})
         k = len(vs)
         pa, pb = np.triu_indices(k, 1)
-        va, vb = np.array(vs)[pa], np.array(vs)[pb]
-        lens = lp_lengths(np.abs(pts[va] - pts[vb]), process.p)
+        lens, cols = process.pairs(np.array(vs)[pa], np.array(vs)[pb])
         near = lens <= r * (1 + 1e-12)
-        cols = pair_colours(process.colour_seed, va[near], vb[near], process.n,
-                            process.n_colours).tolist()
+        cols = cols[near].tolist()
         colour_count = {c: cols.count(c) for c in cols}
         adj = [set() for _ in range(k)]
         usable = {}
@@ -463,7 +420,7 @@ def build_good_cycles(grid: CellGrid, classification: CellClassification,
                 adj[a].add(b)
                 adj[b].add(a)
                 usable[(a, b)] = (c, ln)
-        order_local = hamilton_cycle(k, adj, exact_limit=exact_limit)
+        order_local = hamilton_cycle(k, adj)
         if order_local is None:
             return BuildFailure(stage="good_cycle", reason="no rainbow cycle in good cell",
                                 mode=mode, n=process.n, target_radius=r,
@@ -528,10 +485,9 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
     plan = StitchPlan()
 
     def bridge_ok(u, v, picked):
-        ln = process.distance_of(u, v)
+        ln, c = process.pairs(u, v)
         if ln > r * (1 + 1e-12):
             return None
-        c = process.colour_of(u, v)
         if c in ledger.used or c in picked:
             return None
         return (c, ln)
@@ -758,7 +714,6 @@ def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan,
 def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
                   epsilon: float = 0.1, K: float | None = None,
                   n_colours: int | None = None, colour_seed: int = 0,
-                  exact_limit: int = 10, oracle_fallback: bool = True,
                   grid_radius: float | None = None):
     """Run the full pipeline and return a validated RainbowCertificate, or
     a BuildFailure naming the stage that stopped it.
@@ -778,22 +733,12 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
         return BuildFailure(stage="input", reason="matching needs a positive even vertex count",
                             mode=mode, n=n, target_radius=r)
 
-    process = build_process(points, cutoff=r, K=K, n_colours=n_colours,
-                            colour_seed=colour_seed)
-
-    oracle_limit = _oracle.HC_VERTEX_LIMIT if mode == "hc" else _oracle.PM_VERTEX_LIMIT
-
-    def via_oracle():
-        inst = _oracle.instance_from_process(process)
-        if mode == "hc":
-            witness = _oracle.exact_rainbow_hamilton_cycle(inst)
-        else:
-            witness = _oracle.exact_rainbow_perfect_matching(inst)
-        if witness is None:
-            return BuildFailure(stage="oracle", reason="no rainbow structure within radius",
-                                mode=mode, n=n, target_radius=r)
-        edges = [(i, j, c, process.distance_of(i, j)) for (i, j, c) in witness]
-        return _finish(edges, method="oracle")
+    small = n <= (_oracle.HC_VERTEX_LIMIT if mode == "hc" else _oracle.PM_VERTEX_LIMIT)
+    # colours do not depend on the cutoff (see process.py) and the staged
+    # stages read pairs through the coupling alone, so they need no events;
+    # min() keeps build_process's refusal of a negative radius
+    process = build_process(points, cutoff=r if small else min(r, 0.0), K=K,
+                            n_colours=n_colours, colour_seed=colour_seed)
 
     def _finish(edges, method, meta=None):
         radius = max((ln for (_, _, _, ln) in edges), default=0.0)
@@ -809,8 +754,15 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
                                 details={"problems": problems[:10]})
         return cert
 
-    if oracle_fallback and n <= oracle_limit:
-        return via_oracle()
+    if small:
+        witness = _oracle.rainbow_witness_at(process, process.cutoff, mode)
+        if witness is None:
+            return BuildFailure(stage="oracle", reason="no rainbow structure within radius",
+                                mode=mode, n=n, target_radius=r)
+        ii, jj, cc = np.array(witness).T
+        lens = process.distance_of(ii, jj)
+        return _finish(list(zip(ii.tolist(), jj.tolist(), cc.tolist(), lens.tolist())),
+                       method="oracle")
 
     if grid_radius is not None:
         r0 = float(grid_radius)
@@ -838,8 +790,7 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
                             details={"dense_threshold": classification.dense_threshold})
 
     ledger = RainbowLedger()
-    got = plan_ugly_paths(points, grid, graph, classification, r, mode=mode,
-                          exact_limit=exact_limit)
+    got = plan_ugly_paths(points, grid, graph, classification, r, mode=mode)
     if isinstance(got, BuildFailure):
         return got
     plans, claimed = got
@@ -856,7 +807,7 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
     bad_paths = got
 
     got = build_good_cycles(grid, classification, process, ledger, claimed, r,
-                            mode=mode, exact_limit=exact_limit)
+                            mode=mode)
     if isinstance(got, BuildFailure):
         return got
     cycles = got

@@ -17,7 +17,11 @@ __all__ = [
     "exact_hamilton_cycle",
     "hamilton_path",
     "hamilton_cycle",
+    "EXACT_LIMIT",
 ]
+
+# largest graph handed to the exact bitmask DP
+EXACT_LIMIT = 10
 
 
 def _as_sets(n, adj):
@@ -148,13 +152,14 @@ def _close_cycle(path, adj) -> list | None:
     return None
 
 
-def hamilton_path(n, adj, exact_limit: int = 10) -> list | None:
-    """Hamilton path with free endpoints; exact below the size limit."""
+def hamilton_path(n, adj) -> list | None:
+    """Hamilton path with free endpoints; exact up to ``EXACT_LIMIT``
+    vertices."""
     if n <= 0:
         return None
     if n == 1:
         return [0]
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         return exact_hamilton_path(n, adj)
     adj = _as_sets(n, adj)
     for start in range(n):
@@ -164,12 +169,12 @@ def hamilton_path(n, adj, exact_limit: int = 10) -> list | None:
     return None
 
 
-def hamilton_cycle(n, adj, exact_limit: int = 10) -> list | None:
-    """Hamilton cycle as a vertex order (closing edge implied); exact below
-    the size limit, rotation-extension with closing above it."""
+def hamilton_cycle(n, adj) -> list | None:
+    """Hamilton cycle as a vertex order (closing edge implied); exact up to
+    ``EXACT_LIMIT`` vertices, rotation-extension with closing above it."""
     if n < 3:
         return None
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         return exact_hamilton_cycle(n, adj)
     adj = _as_sets(n, adj)
     for start in range(n):

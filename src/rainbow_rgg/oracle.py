@@ -29,7 +29,6 @@ __all__ = [
     "validate_certificate",
     "instance_to_text",
     "instance_from_text",
-    "instance_from_process",
 ]
 
 HC_VERTEX_LIMIT = 14
@@ -163,16 +162,6 @@ def exact_rainbow_perfect_matching(instance: ColouredGraphInstance,
     return None
 
 
-def instance_from_process(process, r: float | None = None) -> ColouredGraphInstance:
-    """Snapshot a coloured process at radius r as a static instance."""
-    from .process import snapshot
-    snap = snapshot(process, process.cutoff if r is None else r)
-    ei, ej, elen, ecol = snap.edges()
-    edges = [(int(a), int(b), int(c)) for a, b, c in zip(ei, ej, ecol)]
-    return ColouredGraphInstance(n=process.n, edges=edges,
-                                 lengths=[float(x) for x in elen])
-
-
 def _prefix_feasible(process, m: int, target: str):
     ei = process.ei[:m]
     ej = process.ej[:m]
@@ -240,9 +229,6 @@ def validate_certificate(cert: dict, process) -> list[str]:
     points and the colour coupling, for all edges at once.
     """
     from scipy.sparse.csgraph import connected_components
-
-    from .geometry import lp_lengths
-    from .process import pair_colours
     problems = []
     n = process.n
     mode = cert.get("mode")
@@ -254,10 +240,7 @@ def validate_certificate(cert: dict, process) -> list[str]:
     valid = [0 < i <= n and 0 < j <= n and i != j for (i, j, _, _) in edges]
     ii, jj = np.array([(e[0] - 1, e[1] - 1) for e, ok in zip(edges, valid) if ok],
                       dtype=np.int64).reshape(-1, 2).T
-    pts = process.points.points
-    true_lens = iter(lp_lengths(np.abs(pts[ii] - pts[jj]), process.p).tolist())
-    true_cols = iter(pair_colours(process.colour_seed, ii, jj, n,
-                                  process.n_colours).tolist())
+    true_lens, true_cols = (iter(x.tolist()) for x in process.pairs(ii, jj))
     seen_pairs = set()
     colours = []
     for k, (i, j, c, length) in enumerate(edges):

@@ -124,12 +124,21 @@ class ColouredProcess:
     def m(self) -> int:
         return int(self.elen.shape[0])
 
-    def colour_of(self, i: int, j: int) -> int:
-        """Colour of any pair under the coupling, event or not."""
-        return int(pair_colours(self.colour_seed, i, j, self.n, self.n_colours)[0])
+    def pairs(self, i, j):
+        """Lengths and colours of the pairs (i[k], j[k]), events or not: one
+        length pass and one colour pass, bit for bit the event values."""
+        return self.distance_of(i, j), self.colour_of(i, j)
 
-    def distance_of(self, i: int, j: int) -> float:
-        return float(lp_lengths(np.abs(self.points.points[i] - self.points.points[j]), self.p))
+    def colour_of(self, i, j):
+        """Colour of any pair under the coupling, event or not; an array of
+        colours when i and j are index arrays."""
+        c = pair_colours(self.colour_seed, i, j, self.n, self.n_colours)
+        return c if np.ndim(i) else int(c[0])
+
+    def distance_of(self, i, j):
+        pts = self.points.points
+        d = lp_lengths(np.abs(pts[i] - pts[j]), self.p)
+        return d if np.ndim(i) else float(d)
 
 
 def _pairs_within(points: np.ndarray, cutoff: float, p: float):

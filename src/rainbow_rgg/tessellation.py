@@ -167,6 +167,10 @@ class CellGraph:
         k = int(np.searchsorted(row, b))
         return k < row.size and bool(row[k] == b)
 
+    def induced(self, cells) -> csr_matrix:
+        """Adjacency matrix of the subgraph induced on the ascending cells."""
+        return _induced(self.indptr, self.indices, cells)
+
     def max_degree(self) -> int:
         """Exact maximum degree over cells (boundary cells lose neighbours)."""
         return int(np.diff(self.indptr).max())
@@ -215,10 +219,12 @@ def build_cell_graph(grid: CellGrid, r0: float | None = None) -> CellGraph:
                      indptr=indptr, indices=indices)
 
 
-def _matrix(indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
-    """The compressed rows as a sparse adjacency matrix."""
+def _induced(indptr: np.ndarray, indices: np.ndarray, cells) -> csr_matrix:
+    """Sparse adjacency matrix of the subgraph that the compressed rows
+    induce on the ascending ``cells``: row k stands for cells[k]."""
     n = indptr.size - 1
-    return csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+    adj = csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+    return adj[cells][:, cells]
 
 
 def _components(cells, indptr, indices) -> list[list[int]]:
@@ -228,8 +234,7 @@ def _components(cells, indptr, indices) -> list[list[int]]:
     # not with the package
     from scipy.sparse.csgraph import connected_components
     cells = sorted(cells)
-    labels = connected_components(_matrix(indptr, indices)[cells][:, cells],
-                                  directed=False)[1]
+    labels = connected_components(_induced(indptr, indices, cells), directed=False)[1]
     comps = {}
     for c, label in zip(cells, labels.tolist()):
         comps.setdefault(label, []).append(c)
@@ -248,17 +253,6 @@ class CellClassification:
     ugly: list[int]
     ugly_components: list[list[int]]
     degenerate: bool
-
-    def label_of(self, cell: int) -> str:
-        if cell in self._good_set:
-            return "good"
-        if cell in self._bad_set:
-            return "bad"
-        return "ugly"
-
-    def __post_init__(self):
-        self._good_set = set(self.good)
-        self._bad_set = set(self.bad)
 
 
 def classify_cells(grid: CellGrid, graph: CellGraph) -> CellClassification:
@@ -309,9 +303,6 @@ class DiagnosticsReport:
 
     checks: dict
 
-    def pass_rates(self) -> dict:
-        return {k: v["passed"] for k, v in self.checks.items()}
-
     def to_json(self) -> str:
         return json.dumps(json_safe(self.checks), sort_keys=True)
 
@@ -361,7 +352,6 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
     if not good:
         return True, 0, 0.0
     good_multis = np.array([grid.multi(c) for c in good], dtype=np.int64)
-    adj = _matrix(graph.indptr, graph.indices)
     failures = 0
     worst_diam = 0
     for u in classification.ugly:
@@ -372,7 +362,7 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
             continue
         sel = [good[i] for i in near]
         # hop distances from the first selected cell
-        dist = shortest_path(adj[sel][:, sel], directed=False, unweighted=True, indices=0)
+        dist = shortest_path(graph.induced(sel), directed=False, unweighted=True, indices=0)
         if np.isinf(dist).any():
             failures += 1
             continue

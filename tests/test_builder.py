@@ -21,11 +21,12 @@ from rainbow_rgg import (
     build_grid,
     build_process,
     build_rainbow,
-    certificate_from_json,
     classify_cells,
+    max_knn_distance,
     sample_points,
     validate_certificate,
 )
+from rainbow_rgg import builder
 from rainbow_rgg.builder import (
     _SpareVertexPool,
     apply_stitch,
@@ -100,6 +101,23 @@ def test_staged_build_many_seeds(hole_cloud):
         assert validate_certificate(got.to_dict(), proc) == []
         wins += 1
     assert wins >= 6
+
+
+def test_staged_path_builds_no_events(hole_cloud, ring_cloud, monkeypatch):
+    """Above the oracle's limit the stages read pairs through the colour
+    coupling alone, so the process is built at cutoff 0."""
+    cutoffs = []
+
+    def recording(points, cutoff, *args, **kwargs):
+        cutoffs.append(cutoff)
+        return build_process(points, cutoff, *args, **kwargs)
+
+    monkeypatch.setattr(builder, "build_process", recording)
+    for cloud in (hole_cloud, ring_cloud):
+        for mode in ("hc", "pm"):
+            got = _staged(cloud, mode, colour_seed=5)
+            assert got.method == "staged"
+    assert cutoffs == [0.0] * 4
 
 
 def test_grid_radius_override_recorded(hole_cloud):
@@ -394,15 +412,13 @@ def test_spare_pool_keeps_cells_viable(hole_cloud):
 
 def test_certificate_json_round_trip(hole_cloud):
     cert = _staged(hole_cloud, "hc")
-    raw = certificate_from_json(cert.to_json())
+    raw = json.loads(cert.to_json())
     assert raw["ok"] is True
     assert raw["mode"] == "hc"
     assert raw["n"] == hole_cloud.n
     assert len(raw["edges"]) == hole_cloud.n
     proc = build_process(hole_cloud, cutoff=RADIUS, K=20.0, colour_seed=11)
     assert validate_certificate(raw, proc) == []
-    with pytest.raises(ValueError):
-        certificate_from_json("[1, 2, 3]")
 
 
 def test_tampered_certificate_rejected(hole_cloud):
@@ -430,3 +446,46 @@ def test_engineered_certificates_pinned():
             texts.append(got.to_json())
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == PINNED_CERTIFICATES_SHA256
+
+
+# Output of every build below, certificates and failures alike, joined by
+# newlines.  The grid reaches every stage that fails on these inputs
+# (tessellation, ugly_plan, ugly_colour, good_cycle, stitch), the oracle and
+# the staged certificates, and two builds take a good-cell corridor.  A
+# refactor of any stage, the pair lookups or the oracle path must leave
+# this digest as it is.
+PINNED_OUTPUTS_SHA256 = "cd32e2f58501470e3879472587c218b3efe6154e4097802fad791799782f0069"
+
+
+def test_build_outputs_pinned(monkeypatch):
+    corridors = []
+    take = _SpareVertexPool.take
+
+    def recording(pool, cell, prefer=None):
+        corridors.append(prefer is not None)
+        return take(pool, cell, prefer=prefer)
+
+    monkeypatch.setattr(_SpareVertexPool, "take", recording)
+    texts, outcomes = [], set()
+    for ring_pts in (0, 1, 2):
+        cloud = engineered_points(seed=5, ring_pts=ring_pts)
+        for mode in ("hc", "pm"):
+            texts.append(build_rainbow(cloud, RADIUS, mode=mode, epsilon=EPSILON, K=20.0,
+                                       colour_seed=0, grid_radius=GRID_RADIUS).to_json())
+    for n in (12, 300):
+        for seed in (1, 2):
+            pts = sample_points(n, 2, seed, 1.5)
+            for mode in ("hc", "pm"):
+                r_hat = max_knn_distance(pts, 2 if mode == "hc" else 1)
+                for epsilon, grid_radius in ((0.1, None), (0.0148, 0.45), (0.02, 0.3)):
+                    texts.append(build_rainbow(pts, 3 * r_hat, mode=mode, epsilon=epsilon,
+                                               K=20.0, colour_seed=seed,
+                                               grid_radius=grid_radius).to_json())
+    for text in texts:
+        raw = json.loads(text)
+        outcomes.add(raw["method"] if raw["ok"] else raw["failed_stage"])
+    assert outcomes == {"oracle", "staged", "tessellation", "ugly_plan", "ugly_colour",
+                        "good_cycle", "stitch"}
+    assert any(corridors)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS_SHA256

@@ -2,7 +2,7 @@
 
 The exact solver is the oracle for the heuristic: on every graph where
 the DP proves existence, the rotation-extension search must deliver (it
-falls back to the exact solver below exact_limit, so only dense graphs
+falls back to the exact solver up to EXACT_LIMIT vertices, so only dense graphs
 exercise the heuristic branch).  Known graphs with known answers pin the
 exact solver itself.
 """
@@ -163,12 +163,12 @@ def test_dispatch_uses_exact_below_limit():
     """Under the exact limit the answer is exact: Petersen must come back
     None for a cycle even through the dispatching entry point."""
     adj = _petersen()
-    assert hamilton_cycle(10, adj, exact_limit=10) is None
-    _check_path(10, adj, hamilton_path(10, adj, exact_limit=10))
+    assert hamilton_cycle(10, adj) is None
+    _check_path(10, adj, hamilton_path(10, adj))
 
 
 def test_heuristic_handles_sparse_failure_gracefully():
     """On a sparse graph the heuristic may give up: None, never garbage."""
     adj = _path_graph(30)
-    got = hamilton_cycle(30, adj, exact_limit=4)
+    got = hamilton_cycle(30, adj)
     assert got is None

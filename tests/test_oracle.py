@@ -20,7 +20,6 @@ from rainbow_rgg import (
     exact_rainbow_hamilton_cycle,
     exact_rainbow_perfect_matching,
     hitting_radius_min_degree,
-    instance_from_process,
     instance_from_text,
     instance_to_text,
     rainbow_witness_at,
@@ -352,14 +351,3 @@ def test_instance_text_no_lengths():
     back = instance_from_text(text)
     assert back.lengths is None
     assert back.edges == [(0, 2, 5)]
-
-
-def test_instance_from_process_matches_snapshot():
-    ps = sample_points(10, 2, seed=8)
-    proc = build_process(ps, cutoff=0.4, n_colours=9, colour_seed=4)
-    inst = instance_from_process(proc, 0.25)
-    for k, (i, j, c) in enumerate(inst.edges):
-        assert proc.colour_of(i, j) == c
-        assert inst.lengths[k] <= 0.25
-    back = instance_from_text(instance_to_text(inst))
-    assert back.edges == inst.edges

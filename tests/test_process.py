@@ -118,12 +118,20 @@ def test_colour_of_and_distance_of():
 def test_distance_of_equals_event_length(p, d):
     """One pair reduced on its own gets the same length, bit for bit, as
     the batched reduction that produced the events; at p in {1.5, 2, 3}
-    a scalar root taken through libm pow differed in the last ulp."""
+    a scalar root taken through libm pow differed in the last ulp.  The
+    batched lookup ``pairs`` returns the event lengths and colours, in
+    either endpoint order, and agrees with the scalar lookups."""
     ps = sample_points(400, d, seed=21, p=p)
     proc = build_process(ps, cutoff=0.3 if d == 2 else 0.5, K=20.0)
     assert proc.m > 5000
-    got = [proc.distance_of(a, b) for a, b in zip(proc.ei.tolist(), proc.ej.tolist())]
+    ei, ej = proc.ei.tolist(), proc.ej.tolist()
+    got = [proc.distance_of(a, b) for a, b in zip(ei, ej)]
     assert got == proc.elen.tolist()
+    for a, b in ((proc.ei, proc.ej), (ej, ei)):
+        lens, cols = proc.pairs(a, b)
+        assert lens.tolist() == got
+        assert cols.tolist() == proc.ecol.tolist()
+    assert [proc.colour_of(a, b) for a, b in zip(ei[::5], ej[::5])] == proc.ecol[::5].tolist()
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
