@@ -2,17 +2,14 @@
 and a staged constructive builder for rainbow Hamilton cycles and perfect
 matchings, with an experiment harness for hitting radii and limit laws."""
 
-from .geometry import (BallVolumes, PointSet, ball_volumes, cube_diameter,
-                       distance, json_safe, load_points, lp_lengths,
+from .geometry import (PointSet, cube_diameter, json_safe, load_points, lp_lengths,
                        mc_unit_ball_volume, pairwise_distances, sample_points,
                        save_points, unit_ball_volume)
-from .process import (ColouredProcess, HittingRadii, ReferenceRadii, Snapshot,
-                      build_process, compute_hitting_radii, default_omega,
-                      events_csv_text, first_feasible_prefix,
-                      hitting_radii_from_json, hitting_radii_to_json,
-                      hitting_radius_kconn,
-                      hitting_radius_min_degree, pair_colours, reference_radii,
-                      snapshot)
+from .process import (ColouredProcess, HittingRadii, ReferenceRadii, build_process,
+                      compute_hitting_radii, default_omega, events_csv_text,
+                      first_feasible_prefix, hitting_radii_to_json,
+                      hitting_radius_kconn, hitting_radius_min_degree,
+                      pair_colours, reference_radii)
 from .tessellation import (CellClassification, CellGraph, CellGrid,
                            DiagnosticsReport, TessellationRegimeError,
                            build_cell_graph, build_grid, classify_cells,
@@ -22,7 +19,7 @@ from .hamilton import (exact_hamilton_cycle, exact_hamilton_path,
 from .oracle import (HC_VERTEX_LIMIT, PM_VERTEX_LIMIT, ColouredGraphInstance,
                      exact_hitting_rainbow, exact_rainbow_hamilton_cycle,
                      exact_rainbow_perfect_matching, instance_from_text,
-                     instance_to_text, rainbow_witness_at, validate_certificate)
+                     rainbow_witness_at, validate_certificate)
 from .builder import (BadPath, BuildFailure, GoodCycle, RainbowCertificate,
                       RainbowLedger, StitchPlan, UglyPathPlan, apply_stitch,
                       build_bad_forests, build_good_cycles, build_rainbow,

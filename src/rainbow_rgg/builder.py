@@ -20,9 +20,11 @@ rainbow by construction; a certificate is still re-validated against the
 coupled process before it is returned.  Any stage that cannot proceed
 returns a BuildFailure naming the stage instead of raising.
 
-Vertex parities, drained cells, exhausted splice slots and non-positive
-cell-graph thresholds are all normal small-scale outcomes; the caller can
-fall back to the exact oracle when the instance is small enough.
+Vertex parities, drained cells and exhausted splice slots are normal
+outcomes at simulable n.  A non-positive cell-graph threshold is not a
+matter of scale: it happens for epsilon above about d^{-d} / (2 d theta)
+(0.0199 for l_2 at d = 2) at every n, the default 0.1 included.  Instances
+within the exact oracle's limits are answered by the oracle instead.
 """
 
 from __future__ import annotations
@@ -173,15 +175,13 @@ class _SpareVertexPool:
         self.drains[cell] = self.drains.get(cell, 0) + 1
         return v
 
-    def take(self, cell: int, prefer=None) -> int | None:
-        """Claim one spare vertex of the cell; smallest index, or the
-        vertex closest to ``prefer`` when given (ties to the smaller)."""
+    def take(self, cell: int, prefer) -> int | None:
+        """Claim the spare vertex of the cell closest to the point
+        ``prefer`` (ties to the smaller index), or None."""
         if not self.can_drain(cell):
             return None
         cand = self.unclaimed_in(cell)
-        k = 0
-        if prefer is not None:
-            k = int(np.argmin(lp_lengths(np.abs(self.coords[cand] - prefer), self.grid.p)))
+        k = int(np.argmin(lp_lengths(np.abs(self.coords[cand] - prefer), self.grid.p)))
         return self.claim(cand[k], cell)
 
 
@@ -269,7 +269,7 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
 
         path = [head] + interior + [tail]
         anchor = head_cell
-        if not (tail_cell == head_cell or graph.are_adjacent(head_cell, tail_cell)):
+        if not (tail_cell == head_cell or tail_cell in graph.neighbors(head_cell)):
             # corridor: the shortest walk over good cells from the tail cell
             # to the head cell or a good neighbour of it, one vertex per cell;
             # the tail cell is neither, and rows are walked in ascending order

@@ -9,21 +9,18 @@ works through the helpers here so the norm handling lives in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PointSet",
-    "BallVolumes",
     "check_norm",
     "sample_points",
     "lp_lengths",
-    "distance",
     "pairwise_distances",
     "unit_ball_volume",
     "mc_unit_ball_volume",
-    "ball_volumes",
     "cube_diameter",
     "save_points",
     "load_points",
@@ -63,7 +60,7 @@ class PointSet:
             raise ValueError("points must be an (n, d) array")
         if pts.shape[1] < 2:
             raise ValueError("dimension must be at least 2")
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("coordinates must lie in [0, 1]")
         self.points = pts
         self.p = check_norm(self.p)
@@ -108,13 +105,6 @@ def lp_lengths(diff, p) -> np.ndarray:
     return np.sqrt(s) if p == 2.0 else np.power(s, 1.0 / p)
 
 
-def distance(a, b, p) -> float:
-    """l_p distance between two points (p = math.inf for the max norm)."""
-    p = check_norm(p)
-    diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    return float(lp_lengths(diff, p))
-
-
 def pairwise_distances(points: np.ndarray, p: float) -> np.ndarray:
     """Dense (n, n) l_p distance matrix; fine for n up to a few thousand."""
     p = check_norm(p)
@@ -154,27 +144,6 @@ def mc_unit_ball_volume(d: int, p, samples: int = 10 ** 6, seed=0) -> float:
         inside += int((norms <= 1.0).sum())
         remaining -= m
     return (2.0 ** d) * inside / samples
-
-
-@dataclass(frozen=True)
-class BallVolumes:
-    """theta = unit ball volume in dimension d, theta_prime in dimension d-1."""
-
-    d: int
-    p: float
-    theta: float = field(init=False)
-    theta_prime: float = field(init=False)
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need d >= 2 (theta_prime uses d - 1)")
-        object.__setattr__(self, "p", check_norm(self.p))
-        object.__setattr__(self, "theta", unit_ball_volume(self.d, self.p))
-        object.__setattr__(self, "theta_prime", unit_ball_volume(self.d - 1, self.p))
-
-
-def ball_volumes(d: int, p) -> BallVolumes:
-    return BallVolumes(d=d, p=p)
 
 
 def cube_diameter(d: int, p) -> float:

@@ -208,7 +208,6 @@ class ExperimentConfig:
     threads: int = 1
     modes: tuple = ("hc", "pm")
     alphas: tuple = (-1.0, 0.0, 1.0)
-    include_kconn: bool = True
     include_rainbow: bool = False
 
     def __post_init__(self):
@@ -240,45 +239,31 @@ def _trial_seeds(master_seed: int, n_index: int, trial_index: int):
     return int(state[0]), int(state[1])
 
 
-def _run_hitting_trial(payload) -> TrialRecord:
-    (master_seed, n_index, trial_index, n, d, p, K,
-     include_kconn, include_rainbow) = payload
-    t0 = time.perf_counter()
-    pseed, cseed = _trial_seeds(master_seed, n_index, trial_index)
-    pts = sample_points(n, d, pseed, p)
-    radii = hitting_radii(pts, K=K, colour_seed=cseed, include_kconn=include_kconn,
-                          include_rainbow=include_rainbow)
+def _hitting_values(config: ExperimentConfig, pts: PointSet, cseed: int) -> dict:
+    radii = hitting_radii(pts, K=config.K, colour_seed=cseed,
+                          include_rainbow=config.include_rainbow)
     vals = {}
     for k in (1, 2):
         vals[f"r_min_degree_{k}"] = radii.min_degree[k]
-    if include_kconn:
-        for k in (1, 2):
-            vals[f"r_kconn_{k}"] = radii.kconn[k]
-            vals[f"coincide_{k}"] = int(radii.min_degree[k] == radii.kconn[k])
+        vals[f"r_kconn_{k}"] = radii.kconn[k]
+        vals[f"coincide_{k}"] = int(radii.min_degree[k] == radii.kconn[k])
     if radii.rainbow_hc is not None:
         vals["r_rainbow_hc"] = radii.rainbow_hc
         vals["rainbow_hc_hits_min_degree_2"] = int(radii.rainbow_hc == radii.min_degree[2])
     if radii.rainbow_pm is not None:
         vals["r_rainbow_pm"] = radii.rainbow_pm
         vals["rainbow_pm_hits_min_degree_1"] = int(radii.rainbow_pm == radii.min_degree[1])
-    rec = TrialRecord(kind="hitting", n=n, n_index=n_index, trial_index=trial_index,
-                      point_seed=pseed, colour_seed=cseed, values=vals)
-    rec.wall_time = time.perf_counter() - t0
-    return rec
+    return vals
 
 
-def _run_build_trial(payload) -> TrialRecord:
-    (master_seed, n_index, trial_index, n, d, p, K, epsilon, modes) = payload
-    t0 = time.perf_counter()
-    pseed, cseed = _trial_seeds(master_seed, n_index, trial_index)
-    pts = sample_points(n, d, pseed, p)
+def _build_values(config: ExperimentConfig, pts: PointSet, cseed: int) -> dict:
     vals = {}
-    for mode in modes:
+    for mode in config.modes:
         k = 2 if mode == "hc" else 1
         r_hat = max_knn_distance(pts, k)
         vals[f"r_target_{mode}"] = r_hat
-        got = _builder.build_rainbow(pts, r_hat, mode=mode, epsilon=epsilon,
-                                     K=K, colour_seed=cseed)
+        got = _builder.build_rainbow(pts, r_hat, mode=mode, epsilon=config.epsilon,
+                                     K=config.K, colour_seed=cseed)
         if isinstance(got, _builder.RainbowCertificate):
             vals[f"success_{mode}"] = 1
             vals[f"radius_{mode}"] = got.radius
@@ -286,55 +271,42 @@ def _run_build_trial(payload) -> TrialRecord:
         else:
             vals[f"success_{mode}"] = 0
             vals[f"failed_stage_{mode}"] = got.stage
-    rec = TrialRecord(kind="build", n=n, n_index=n_index, trial_index=trial_index,
-                      point_seed=pseed, colour_seed=cseed, values=vals)
-    rec.wall_time = time.perf_counter() - t0
-    return rec
+    return vals
 
 
-def _run_law_trial(payload) -> TrialRecord:
-    (master_seed, n_index, trial_index, n, d, p) = payload
-    t0 = time.perf_counter()
-    pseed, cseed = _trial_seeds(master_seed, n_index, trial_index)
-    radii = _knn_radii(sample_points(n, d, pseed, p), (1, 2))
-    vals = {f"r_min_degree_{k}": r for k, r in radii.items()}
-    rec = TrialRecord(kind="lawcheck", n=n, n_index=n_index, trial_index=trial_index,
-                      point_seed=pseed, colour_seed=cseed, values=vals)
-    rec.wall_time = time.perf_counter() - t0
-    return rec
+def _law_values(config: ExperimentConfig, pts: PointSet, cseed: int) -> dict:
+    return {f"r_min_degree_{k}": r for k, r in _knn_radii(pts, (1, 2)).items()}
 
 
-_RUNNERS = {
-    "hitting": _run_hitting_trial,
-    "build": _run_build_trial,
-    "lawcheck": _run_law_trial,
+_VALUES = {
+    "hitting": _hitting_values,
+    "build": _build_values,
+    "lawcheck": _law_values,
 }
 
 
-def _payloads(config: ExperimentConfig):
-    out = []
-    for ni, n in enumerate(config.ns):
-        for t in range(config.trials):
-            if config.kind == "hitting":
-                out.append((config.master_seed, ni, t, n, config.d, config.p,
-                            config.K, config.include_kconn, config.include_rainbow))
-            elif config.kind == "build":
-                out.append((config.master_seed, ni, t, n, config.d, config.p,
-                            config.K, config.epsilon, config.modes))
-            else:
-                out.append((config.master_seed, ni, t, n, config.d, config.p))
-    return out
+def _run_trial(job) -> TrialRecord:
+    """One trial: ``job`` is (config, n_index, trial_index)."""
+    config, n_index, trial_index = job
+    t0 = time.perf_counter()
+    n = config.ns[n_index]
+    pseed, cseed = _trial_seeds(config.master_seed, n_index, trial_index)
+    pts = sample_points(n, config.d, pseed, config.p)
+    vals = _VALUES[config.kind](config, pts, cseed)
+    return TrialRecord(kind=config.kind, n=n, n_index=n_index, trial_index=trial_index,
+                       point_seed=pseed, colour_seed=cseed, values=vals,
+                       wall_time=time.perf_counter() - t0)
 
 
 def run_trials(config: ExperimentConfig) -> list:
     """Run every trial of the experiment; the record order and content are
     functions of the config alone, regardless of thread count."""
-    fn = _RUNNERS[config.kind]
-    payloads = _payloads(config)
+    jobs = [(config, ni, t) for ni in range(len(config.ns)) for t in range(config.trials)]
     if config.threads <= 1:
-        return [fn(pl) for pl in payloads]
+        return [_run_trial(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * config.threads))))
+        return list(pool.map(_run_trial, jobs,
+                             chunksize=max(1, len(jobs) // (4 * config.threads))))
 
 
 def min_degree_law_experiment(n: int, trials: int, d: int = 2, p=math.inf,

@@ -4,7 +4,7 @@ Complete backtracking searches for rainbow Hamilton cycles and rainbow
 perfect matchings, hitting-radius computation by bisection over the edge
 arrival order, and certificate validation.  Instances are capped (14
 vertices for cycles, 20 for matchings) because the searches are
-exponential; the caps are arguments so tests can tighten them.
+exponential; the caps also guard instances read from a file.
 
 These routines are the ground truth that the staged builder and the
 experiment harness are checked against.
@@ -27,7 +27,6 @@ __all__ = [
     "exact_hitting_rainbow",
     "rainbow_witness_at",
     "validate_certificate",
-    "instance_to_text",
     "instance_from_text",
 ]
 
@@ -37,15 +36,10 @@ PM_VERTEX_LIMIT = 20
 
 @dataclass
 class ColouredGraphInstance:
-    """An edge-coloured graph: vertices 0..n-1, edges (i, j, colour).
-
-    Lengths are optional and only carried so instances round-trip through
-    files; the searches ignore them.
-    """
+    """An edge-coloured graph: vertices 0..n-1, edges (i, j, colour)."""
 
     n: int
     edges: list
-    lengths: list | None = None
 
     def __post_init__(self):
         for (i, j, c) in self.edges:
@@ -53,12 +47,6 @@ class ColouredGraphInstance:
                 raise ValueError(f"bad edge ({i}, {j})")
             if c < 1:
                 raise ValueError("colours must be positive")
-        if self.lengths is not None and len(self.lengths) != len(self.edges):
-            raise ValueError("lengths must align with edges")
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def adjacency(self):
         """Neighbour map v -> sorted list of (w, colour)."""
@@ -71,15 +59,14 @@ class ColouredGraphInstance:
         return adj
 
 
-def exact_rainbow_hamilton_cycle(instance: ColouredGraphInstance,
-                                 limit: int = HC_VERTEX_LIMIT):
+def exact_rainbow_hamilton_cycle(instance: ColouredGraphInstance):
     """Complete search for a Hamilton cycle with pairwise distinct edge
     colours.  Returns the witness as a list of n edges (i, j, colour) in
     cycle order, or None.
     """
     n = instance.n
-    if n > limit:
-        raise ValueError(f"instance has {n} > {limit} vertices")
+    if n > HC_VERTEX_LIMIT:
+        raise ValueError(f"instance has {n} > {HC_VERTEX_LIMIT} vertices")
     if n < 3:
         return None
     adj = instance.adjacency()
@@ -119,14 +106,13 @@ def exact_rainbow_hamilton_cycle(instance: ColouredGraphInstance,
     return None
 
 
-def exact_rainbow_perfect_matching(instance: ColouredGraphInstance,
-                                   limit: int = PM_VERTEX_LIMIT):
+def exact_rainbow_perfect_matching(instance: ColouredGraphInstance):
     """Complete search for a perfect matching with pairwise distinct edge
     colours.  Returns the witness as n/2 edges (i, j, colour), or None.
     """
     n = instance.n
-    if n > limit:
-        raise ValueError(f"instance has {n} > {limit} vertices")
+    if n > PM_VERTEX_LIMIT:
+        raise ValueError(f"instance has {n} > {PM_VERTEX_LIMIT} vertices")
     if n == 0:
         return []
     if n % 2:
@@ -211,12 +197,16 @@ def exact_hitting_rainbow(process, target: str = "hc"):
 
 
 def rainbow_witness_at(process, r: float, target: str = "hc"):
-    """Witness for the rainbow property in the prefix of radius r, or None."""
+    """Witness for the rainbow property in the prefix of radius r, or None;
+    refuses radii beyond the build cutoff."""
     if target not in ("hc", "pm"):
         raise ValueError("target must be 'hc' or 'pm'")
-    from .process import snapshot
-    snap = snapshot(process, r)
-    return _prefix_feasible(process, snap.m, target)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if r > process.cutoff * (1 + 1e-12):
+        raise ValueError(f"radius {r} exceeds build cutoff {process.cutoff}")
+    m = int(np.searchsorted(process.elen, r, side="right"))
+    return _prefix_feasible(process, m, target)
 
 
 def validate_certificate(cert: dict, process) -> list[str]:
@@ -286,38 +276,28 @@ def validate_certificate(cert: dict, process) -> list[str]:
     return problems
 
 
-def instance_to_text(instance: ColouredGraphInstance) -> str:
-    """Serialize with 1-based vertex ids: header 'n m', then 'i j colour
-    [length]' per edge."""
-    lines = [f"{instance.n} {instance.m}"]
-    for k, (i, j, c) in enumerate(instance.edges):
-        if instance.lengths is not None:
-            lines.append(f"{i + 1} {j + 1} {c} {instance.lengths[k]!r}")
-        else:
-            lines.append(f"{i + 1} {j + 1} {c}")
-    return "\n".join(lines) + "\n"
-
-
 def instance_from_text(text: str) -> ColouredGraphInstance:
+    """Parse a header 'n m' and then m rows 'i j colour [length]' with
+    1-based vertex ids; the optional length column must be on every row or
+    none, and is checked but not kept."""
     rows = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not rows:
         raise ValueError("empty instance")
     head = rows[0].split()
+    if len(head) != 2 or not all(x.isdigit() for x in head):
+        raise ValueError(f"header must be two non-negative integers 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
         raise ValueError(f"header says {m} edges, found {len(rows) - 1}")
+    width = len(rows[1].split()) if m else 3
+    if width not in (3, 4):
+        raise ValueError("inconsistent edge rows")
     edges = []
-    lengths = []
-    have_lengths = None
     for ln in rows[1:]:
         parts = ln.split()
-        if have_lengths is None:
-            have_lengths = len(parts) == 4
-        if len(parts) != (4 if have_lengths else 3):
+        if len(parts) != width:
             raise ValueError("inconsistent edge rows")
-        i, j, c = int(parts[0]) - 1, int(parts[1]) - 1, int(parts[2])
-        edges.append((i, j, c))
-        if have_lengths:
-            lengths.append(float(parts[3]))
-    return ColouredGraphInstance(n=n, edges=edges,
-                                 lengths=lengths if have_lengths else None)
+        if width == 4:
+            float(parts[3])
+        edges.append((int(parts[0]) - 1, int(parts[1]) - 1, int(parts[2])))
+    return ColouredGraphInstance(n=n, edges=edges)

@@ -36,12 +36,10 @@ from .geometry import (PointSet, check_norm, cube_diameter, json_safe, lp_length
 
 __all__ = [
     "ColouredProcess",
-    "Snapshot",
     "ReferenceRadii",
     "HittingRadii",
     "build_process",
     "pair_colours",
-    "snapshot",
     "hitting_radius_min_degree",
     "hitting_radius_kconn",
     "first_feasible_prefix",
@@ -50,7 +48,6 @@ __all__ = [
     "compute_hitting_radii",
     "events_csv_text",
     "hitting_radii_to_json",
-    "hitting_radii_from_json",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -110,7 +107,6 @@ class ColouredProcess:
     elen: np.ndarray
     ecol: np.ndarray
     clamped: bool = False
-    K: float | None = None
 
     @property
     def n(self) -> int:
@@ -191,34 +187,7 @@ def build_process(points: PointSet, cutoff: float, K: float | None = None,
 
     return ColouredProcess(points=points, cutoff=float(cutoff), n_colours=int(n_colours),
                            colour_seed=int(colour_seed), ei=ei, ej=ej, elen=elen,
-                           ecol=ecol, clamped=clamped, K=K)
-
-
-@dataclass
-class Snapshot:
-    """The graph of all events with length <= r, as a prefix of the process."""
-
-    process: ColouredProcess
-    r: float
-    m: int
-
-    @property
-    def n(self) -> int:
-        return self.process.n
-
-    def edges(self):
-        pr = self.process
-        return pr.ei[: self.m], pr.ej[: self.m], pr.elen[: self.m], pr.ecol[: self.m]
-
-
-def snapshot(process: ColouredProcess, r: float) -> Snapshot:
-    """Snapshot at radius r; refuses radii beyond the build cutoff."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r > process.cutoff * (1 + 1e-12):
-        raise ValueError(f"snapshot radius {r} exceeds build cutoff {process.cutoff}")
-    m = int(np.searchsorted(process.elen, r, side="right"))
-    return Snapshot(process=process, r=float(r), m=m)
+                           ecol=ecol, clamped=clamped)
 
 
 def hitting_radius_min_degree(process: ColouredProcess, k):
@@ -437,21 +406,16 @@ class HittingRadii:
     rainbow_pm: float | None = None
 
 
-def compute_hitting_radii(process: ColouredProcess, ks=(1, 2),
+def compute_hitting_radii(process: ColouredProcess,
                           include_kconn: bool = True) -> HittingRadii:
-    ks = tuple(k for k in ks if k < process.n)
+    """Min-degree and (unless ``include_kconn`` is False) k-connectivity
+    radii for each k in {1, 2} below n."""
+    ks = tuple(k for k in (1, 2) if k < process.n)
     md = dict(zip(ks, hitting_radius_min_degree(process, ks))) if ks else {}
     kc = {}
     if include_kconn:
-        kc = {k: hitting_radius_kconn(process, k, md[k] if k == 2 else None)
-              for k in (1, 2) if k in ks}
+        kc = {k: hitting_radius_kconn(process, k, md[k] if k == 2 else None) for k in ks}
     return HittingRadii(min_degree=md, kconn=kc)
-
-
-def _radius_in(x):
-    if x is None:
-        return None
-    return math.inf if x == "inf" else float(x)
 
 
 def hitting_radii_to_json(hr: HittingRadii) -> str:
@@ -462,16 +426,6 @@ def hitting_radii_to_json(hr: HittingRadii) -> str:
         "rainbow_pm": hr.rainbow_pm,
     }
     return json.dumps(json_safe(payload), sort_keys=True)
-
-
-def hitting_radii_from_json(text: str) -> HittingRadii:
-    raw = json.loads(text)
-    return HittingRadii(
-        min_degree={int(k): _radius_in(v) for k, v in raw["min_degree"].items()},
-        kconn={int(k): _radius_in(v) for k, v in raw["kconn"].items()},
-        rainbow_hc=_radius_in(raw.get("rainbow_hc")),
-        rainbow_pm=_radius_in(raw.get("rainbow_pm")),
-    )
 
 
 def events_csv_text(process: ColouredProcess) -> str:

@@ -13,10 +13,11 @@ within r0 of each other.  Cells are then classified:
 
 All asymptotic structure claims about this classification are evaluated as
 observables by ``diagnostics``; they report pass/fail per instance and never
-abort a run.  At small scale the adjacency threshold r0 - 2ds is frequently
-non-positive; the cell graph is then edgeless and flagged degenerate rather
-than an error, so the diagnostics can quantify exactly how far the instance
-is from the asymptotic regime.
+abort a run.  The adjacency threshold r0 - 2ds is positive only for eps
+below about d^{-d} / (2 d theta), 0.0199 for l_2 at d = 2, at every n (the
+rounding of s to 1/m moves the bound a little).  Above it the cell graph is
+edgeless and flagged degenerate rather than an error, so the diagnostics can
+quantify exactly how far the instance is from the asymptotic regime.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class CellGrid:
     d: int
     m: int
     side: float
-    s_target: float
     r0: float
     epsilon: float
     p: float
@@ -79,30 +79,13 @@ class CellGrid:
     def n(self) -> int:
         return int(self.cell_of_vertex.shape[0])
 
-    @property
-    def cell_diameter(self) -> float:
-        """Largest l_p distance between two points of one cell."""
-        if math.isinf(self.p):
-            return self.side
-        return self.side * self.d ** (1.0 / self.p)
-
-    def multi(self, cell: int) -> tuple:
-        return tuple(int(x) for x in np.unravel_index(cell, (self.m,) * self.d))
-
-    def flat(self, multi) -> int:
-        return int(np.ravel_multi_index(multi, (self.m,) * self.d))
+    def coords(self, cells) -> np.ndarray:
+        """(k, d) array of the multi-indices of the k flat cell ids."""
+        return np.stack(np.unravel_index(np.asarray(cells, dtype=np.int64),
+                                         (self.m,) * self.d), axis=-1)
 
     def vertices_in(self, cell: int) -> np.ndarray:
         return self.residents[self.starts[cell]:self.starts[cell + 1]]
-
-    def boundary_distances(self, cell: int) -> np.ndarray:
-        """(d, 2) array of cell-to-facet distances (lower, upper per axis)."""
-        mi = self.multi(cell)
-        out = np.empty((self.d, 2))
-        for a, c in enumerate(mi):
-            out[a, 0] = c * self.side
-            out[a, 1] = (self.m - c - 1) * self.side
-        return out
 
 
 def build_grid(points: PointSet, r0: float, epsilon: float) -> CellGrid:
@@ -122,7 +105,7 @@ def build_grid(points: PointSet, r0: float, epsilon: float) -> CellGrid:
     idx = np.minimum((points.points * m).astype(np.int64), m - 1)
     flat = np.ravel_multi_index(tuple(idx.T), (m,) * d)
     counts = np.bincount(flat, minlength=m ** d)
-    return CellGrid(d=d, m=m, side=side, s_target=s_target, r0=float(r0),
+    return CellGrid(d=d, m=m, side=side, r0=float(r0),
                     epsilon=float(epsilon), p=points.p,
                     cell_of_vertex=flat.astype(np.int64), counts=counts,
                     starts=np.concatenate([[0], np.cumsum(counts)]),
@@ -162,11 +145,6 @@ class CellGraph:
     def neighbors(self, cell: int) -> list[int]:
         return self.indices[self.indptr[cell]:self.indptr[cell + 1]].tolist()
 
-    def are_adjacent(self, a: int, b: int) -> bool:
-        row = self.indices[self.indptr[a]:self.indptr[a + 1]]
-        k = int(np.searchsorted(row, b))
-        return k < row.size and bool(row[k] == b)
-
     def induced(self, cells) -> csr_matrix:
         """Adjacency matrix of the subgraph induced on the ascending cells."""
         return _induced(self.indptr, self.indices, cells)
@@ -196,10 +174,9 @@ def _stencil_rows(m: int, d: int, stencil: list):
     return indptr, dst[order]
 
 
-def build_cell_graph(grid: CellGrid, r0: float | None = None) -> CellGraph:
+def build_cell_graph(grid: CellGrid) -> CellGraph:
     """Stencil of adjacent offsets for the grid at threshold r0 - 2ds."""
-    if r0 is None:
-        r0 = grid.r0
+    r0 = grid.r0
     threshold = r0 - 2.0 * grid.d * grid.side
     stencil = []
     if threshold > 0:
@@ -308,7 +285,7 @@ class DiagnosticsReport:
 
 
 def _component_linf_diameter(cells, grid: CellGrid) -> float:
-    multis = np.array([grid.multi(c) for c in cells], dtype=np.int64)
+    multis = grid.coords(cells)
     spans = multis.max(axis=0) - multis.min(axis=0) + 1
     return float(spans.max() * grid.side)
 
@@ -321,8 +298,7 @@ def _ugly_separation(classification: CellClassification, A: float) -> float:
         return math.inf
     comp_id = np.full((grid.m,) * grid.d, -1, dtype=np.int64)
     for ci, comp in enumerate(comps):
-        for c in comp:
-            comp_id[grid.multi(c)] = ci
+        comp_id.flat[comp] = ci  # flat ids are C-order
     # offsets of m or more cells along an axis join no two cells
     reach = min(int(A * grid.r0 / grid.side) + 2, grid.m - 1)
     best = math.inf
@@ -351,11 +327,10 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
     good = classification.good
     if not good:
         return True, 0, 0.0
-    good_multis = np.array([grid.multi(c) for c in good], dtype=np.int64)
+    good_multis = grid.coords(good)
     failures = 0
     worst_diam = 0
-    for u in classification.ugly:
-        um = np.array(grid.multi(u), dtype=np.int64)
+    for um in grid.coords(classification.ugly):
         gaps = np.maximum(np.abs(good_multis - um) - 1, 0) * grid.side
         near = np.nonzero(gaps.max(axis=1) <= 3 * grid.r0)[0]
         if near.size <= 1:
@@ -371,16 +346,6 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
         if ecc > diameter_bound:
             failures += 1
     return failures == 0, failures, float(worst_diam)
-
-
-def _facet_proximity_counts(grid: CellGrid, cells, A: float) -> np.ndarray:
-    """Number of facets of the cube within distance A r0 of each given cell."""
-    out = np.zeros(len(cells), dtype=np.int64)
-    lim = A * grid.r0
-    for k, c in enumerate(cells):
-        bd = grid.boundary_distances(c)
-        out[k] = int((bd <= lim).sum())
-    return out
 
 
 def _sparse_boundary_sets(classification: CellClassification, A: float, ell: int):
@@ -407,8 +372,13 @@ def _sparse_boundary_sets(classification: CellClassification, A: float, ell: int
                   for base in power for delta in graph.stencil}
     power.discard((0,) * d)
     indptr, indices = _stencil_rows(grid.m, d, power)
+    lim = A * grid.r0
     for comp in _components(sparse, indptr, indices):
-        top_facets = int(_facet_proximity_counts(grid, comp, A).max())
+        # facets of the cube within A r0 of a member, lower and upper per axis
+        xy = grid.coords(comp)
+        facets = ((xy * grid.side <= lim).sum(axis=1)
+                  + ((grid.m - xy - 1) * grid.side <= lim).sum(axis=1))
+        top_facets = int(facets.max())
         for i in range(min(top_facets, d) + 1):
             sizes[i] = max(sizes[i], len(comp))
     return sizes, bounds

@@ -398,7 +398,7 @@ def test_spare_pool_keeps_cells_viable(hole_cloud):
     start = len(pool.unclaimed_in(cell))
     taken = []
     while True:
-        v = pool.take(cell)
+        v = pool.take(cell, hole_cloud.points[0])
         if v is None:
             break
         taken.append(v)

@@ -13,11 +13,10 @@ from pytest import approx
 
 from rainbow_rgg import (
     PointSet,
-    ball_volumes,
     cube_diameter,
-    distance,
     json_safe,
     load_points,
+    lp_lengths,
     mc_unit_ball_volume,
     pairwise_distances,
     sample_points,
@@ -65,12 +64,6 @@ def test_unit_ball_volume_monotone_in_p():
     assert vals == sorted(vals)
 
 
-def test_ball_volumes_bundle():
-    bv = ball_volumes(3, 2.0)
-    assert bv.theta == approx(unit_ball_volume(3, 2.0))
-    assert bv.theta_prime == approx(unit_ball_volume(2, 2.0))
-
-
 def test_unit_ball_volume_one_dimensional():
     assert unit_ball_volume(1, 2.0) == approx(2.0)
     assert unit_ball_volume(1, math.inf) == approx(2.0)
@@ -81,9 +74,9 @@ def test_unit_ball_volume_one_dimensional():
 def test_distance_known_values():
     a = np.array([0.0, 0.0])
     b = np.array([3.0, 4.0])
-    assert distance(a, b, 2.0) == approx(5.0)
-    assert distance(a, b, 1.0) == approx(7.0)
-    assert distance(a, b, math.inf) == approx(4.0)
+    assert lp_lengths(np.abs(a - b), 2.0) == approx(5.0)
+    assert lp_lengths(np.abs(a - b), 1.0) == approx(7.0)
+    assert lp_lengths(np.abs(a - b), math.inf) == approx(4.0)
 
 
 def test_norm_sandwich():
@@ -107,7 +100,7 @@ def test_pairwise_matches_scalar_distance(p):
     assert np.allclose(mat, mat.T)
     for i in range(12):
         for j in range(i + 1, 12):
-            assert mat[i, j] == approx(distance(pts[i], pts[j], p))
+            assert mat[i, j] == approx(lp_lengths(np.abs(pts[i] - pts[j]), p))
 
 
 def test_cube_diameter_values():
@@ -118,7 +111,7 @@ def test_cube_diameter_values():
 
 def test_invalid_norm_rejected():
     with pytest.raises(ValueError):
-        distance(np.zeros(2), np.ones(2), 0.5)
+        pairwise_distances(np.zeros((2, 2)), 0.5)
 
 
 # -- sampling and serialization --------------------------------------------
@@ -156,6 +149,16 @@ def test_save_load_round_trip(tmp_path):
     assert back.p == ps.p
     assert back.seed == ps.seed
     assert np.array_equal(back.points, ps.points)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5", "-0.25"])
+def test_load_points_rejects_coordinates_outside_cube(tmp_path, bad):
+    """NaN compares False with every bound, so a min/max test would let it
+    through to the kd-tree; every coordinate is checked instead."""
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 2 2.0 none\n0.5 0.5\n0.25 {bad}\n")
+    with pytest.raises(ValueError, match=r"coordinates must lie in \[0, 1\]"):
+        load_points(path)
 
 
 def test_save_load_inf_norm(tmp_path):

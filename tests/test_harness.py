@@ -6,6 +6,7 @@ boundary constant is 2 sqrt(theta)/theta_prime = 2 at p = inf), so any
 drift in the formulas turns a test red.
 """
 
+import hashlib
 import json
 import math
 
@@ -274,3 +275,25 @@ def test_records_to_json_structure():
     assert raw[0]["values"]["x"] == "inf"
     assert "wall_time" not in raw[0]
     assert raw[0]["n"] == 10
+
+
+# CSV and JSON of the experiments below, in order, joined by newlines.  They
+# cover every trial kind, the exact rainbow radii (n = 9 and 10), the oracle
+# path of the builder (n = 12) and staged failures (tessellation, ugly_plan).
+# A change to the trial protocol or to anything a trial runs must leave this
+# digest as it is.
+PINNED_EXPERIMENTS_SHA256 = "a0740d618eadcbb9735564ccced5909108b76d22ac6b0831680b9e7703d5b4a3"
+
+
+def test_experiment_outputs_pinned():
+    texts = []
+    for config in (ExperimentConfig("hitting", (9, 40, 200), 3, p=2.0, include_rainbow=True),
+                   ExperimentConfig("hitting", (9, 40, 200), 3, p=3.0, include_rainbow=True),
+                   ExperimentConfig("hitting", (10,), 3, p=math.inf, include_rainbow=True),
+                   ExperimentConfig("build", (12, 300), 3),
+                   ExperimentConfig("build", (12, 300), 3, p=1.5, epsilon=0.0148),
+                   ExperimentConfig("lawcheck", (2000,), 3)):
+        records = run_trials(config)
+        texts += [records_to_csv(records), records_to_json(records)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_EXPERIMENTS_SHA256

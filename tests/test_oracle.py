@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from pytest import approx
 
 from rainbow_rgg import (
     ColouredGraphInstance,
@@ -21,7 +20,6 @@ from rainbow_rgg import (
     exact_rainbow_perfect_matching,
     hitting_radius_min_degree,
     instance_from_text,
-    instance_to_text,
     rainbow_witness_at,
     sample_points,
     validate_certificate,
@@ -235,6 +233,16 @@ def test_witness_at_radius():
     assert rainbow_witness_at(proc, just_below, "pm") is None
 
 
+def test_witness_at_refuses_radius_outside_build():
+    ps = sample_points(8, 2, seed=3)
+    proc = build_process(ps, cutoff=0.4, n_colours=16, colour_seed=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rainbow_witness_at(proc, -0.1, "pm")
+    with pytest.raises(ValueError, match="exceeds build cutoff"):
+        rainbow_witness_at(proc, 0.41, "hc")
+    rainbow_witness_at(proc, 0.4, "hc")
+
+
 # -- certificate validation -----------------------------------------------
 
 def _good_certificate(seed=5):
@@ -336,18 +344,32 @@ def test_validate_matching_structure():
 # -- instance serialization ---------------------------------------------
 
 def test_instance_text_round_trip():
-    inst = ColouredGraphInstance(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2)],
-                                 lengths=[0.5, 0.25, 0.125])
-    back = instance_from_text(instance_to_text(inst))
+    """1-based rows with the optional length column read back as 0-based
+    edges; the lengths are checked and dropped."""
+    back = instance_from_text("4 3\n1 2 3 0.5\n2 3 1 0.25\n3 4 2 0.125\n")
     assert back.n == 4
-    assert back.edges == inst.edges
-    assert back.lengths == approx(inst.lengths)
+    assert back.edges == [(0, 1, 3), (1, 2, 1), (2, 3, 2)]
 
 
 def test_instance_text_no_lengths():
-    inst = ColouredGraphInstance(3, [(0, 2, 5)])
-    text = instance_to_text(inst)
-    assert text.splitlines()[0] == "3 1"
-    back = instance_from_text(text)
-    assert back.lengths is None
+    back = instance_from_text("3 1\n1 3 5\n")
+    assert back.n == 3
     assert back.edges == [(0, 2, 5)]
+
+
+@pytest.mark.parametrize("text", [
+    "4\n",                      # one header field
+    "4 0 1\n",                  # three header fields
+    "-3 0\n",                   # negative vertex count
+    "3 -1\n",                   # negative edge count
+    "x 1\n1 2 1\n",             # not an integer
+    "3 2\n1 2 1\n",             # fewer rows than the header says
+    "3 2\n1 2 1 0.5\n2 3 2\n",  # length column on one row only
+    "3 1\n1 2 1 nan?\n",        # malformed length
+    "3 1\n1 2\n",               # row too short
+    "3 1\n1 4 1\n",             # vertex out of range
+    "",
+])
+def test_instance_text_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        instance_from_text(text)

@@ -5,6 +5,7 @@ independent recomputations (brute-force k-th nearest neighbour maxima,
 articulation-point checks on explicit prefix graphs).
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from rainbow_rgg import (
     exact_hitting_rainbow,
     first_feasible_prefix,
     hitting_radii,
-    hitting_radii_from_json,
     hitting_radii_to_json,
     hitting_radius_kconn,
     hitting_radius_min_degree,
@@ -32,7 +32,6 @@ from rainbow_rgg import (
     pairwise_distances,
     reference_radii,
     sample_points,
-    snapshot,
     unit_ball_volume,
 )
 
@@ -165,10 +164,10 @@ def test_kd_enumeration_matches_brute_force(p, d, cutoff):
 def test_snapshot_matches_brute_force():
     ps = sample_points(35, 2, seed=7, p=1.0)
     proc = build_process(ps, cutoff=math.inf, K=20.0)
-    snap = snapshot(proc, 0.3)
+    m = int(np.searchsorted(proc.elen, 0.3, side="right"))
     dm = pairwise_distances(ps.points, 1.0)
     expect = {(i, j) for i in range(35) for j in range(i + 1, 35) if dm[i, j] <= 0.3}
-    ei, ej, elen, _ = snap.edges()
+    ei, ej, elen = proc.ei[:m], proc.ej[:m], proc.elen[:m]
     got = {(min(a, b), max(a, b)) for a, b in zip(ei.tolist(), ej.tolist())}
     assert got == expect
     assert np.all(elen <= 0.3)
@@ -438,11 +437,11 @@ def test_hitting_radii_json_round_trip():
     proc = build_process(ps, cutoff=math.inf, K=20.0)
     hr = compute_hitting_radii(proc)
     hr.rainbow_pm = 0.25
-    back = hitting_radii_from_json(hitting_radii_to_json(hr))
-    assert back.min_degree == hr.min_degree
-    assert back.kconn == hr.kconn
-    assert back.rainbow_pm == approx(0.25)
-    assert back.rainbow_hc is None
+    back = json.loads(hitting_radii_to_json(hr))
+    assert back["min_degree"] == {str(k): r for k, r in hr.min_degree.items()}
+    assert back["kconn"] == {str(k): r for k, r in hr.kconn.items()}
+    assert back["rainbow_pm"] == approx(0.25)
+    assert back["rainbow_hc"] is None
 
 
 def test_hitting_radii_json_inf():
@@ -451,5 +450,5 @@ def test_hitting_radii_json_inf():
     hr = compute_hitting_radii(proc)
     text = hitting_radii_to_json(hr)
     assert '"inf"' in text
-    back = hitting_radii_from_json(text)
-    assert math.isinf(back.kconn[1])
+    assert math.isinf(hr.kconn[1])
+    assert json.loads(text)["kconn"]["1"] == "inf"

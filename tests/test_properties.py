@@ -10,10 +10,10 @@ from rainbow_rgg import (
     build_process,
     compute_hitting_radii,
     cube_diameter,
-    distance,
     hitting_radii,
     hitting_radius_kconn,
     hitting_radius_min_degree,
+    lp_lengths,
     pairwise_distances,
     sample_points,
     unit_ball_volume,
@@ -87,4 +87,4 @@ def test_scalar_distance_matches_pairwise(d, p, coords):
     a = np.array(coords[:4])[:d]
     b = np.array(coords[4:])[:d]
     dm = pairwise_distances(np.vstack([a, b]), p)
-    assert math.isclose(distance(a, b, p), dm[0, 1], rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(lp_lengths(np.abs(a - b), p), dm[0, 1], rel_tol=1e-12, abs_tol=1e-15)

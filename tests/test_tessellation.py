@@ -5,6 +5,7 @@ the build radius; verify_cross_pairs re-checks that promise exhaustively
 at the vertex level, which keeps the stencil computation honest.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,6 +32,14 @@ from rainbow_rgg.tessellation import _components, _offset_set_distance, _stencil
 from conftest import ENGINEERED, engineered_points
 
 
+def _flat(grid, multi) -> int:
+    return int(np.ravel_multi_index(multi, (grid.m,) * grid.d))
+
+
+def _multi(grid, cell) -> tuple:
+    return tuple(int(x) for x in np.unravel_index(cell, (grid.m,) * grid.d))
+
+
 # -- grid construction ------------------------------------------------------
 
 def test_grid_side_and_count():
@@ -39,10 +48,9 @@ def test_grid_side_and_count():
     grid = build_grid(ps, r0, eps)
     theta = unit_ball_volume(2, 2.0)
     s_target = (2 * eps * 2 * theta) ** 0.5 * r0 / 2
-    assert grid.s_target == approx(s_target)
     assert grid.m == math.ceil(1.0 / s_target)
     assert grid.side == approx(1.0 / grid.m)
-    assert grid.side <= grid.s_target
+    assert grid.side <= s_target
     assert grid.n_cells == grid.m ** 2
     assert grid.counts.sum() == 200
 
@@ -52,10 +60,10 @@ def test_grid_binning_hand_points():
                    seed=0)
     grid = build_grid(pts, 0.5, 0.018)
     m = grid.m
-    assert grid.cell_of_vertex[0] == grid.flat((0, 0))
-    assert grid.cell_of_vertex[1] == grid.flat((m - 1, m - 1))
+    assert grid.cell_of_vertex[0] == _flat(grid, (0, 0))
+    assert grid.cell_of_vertex[1] == _flat(grid, (m - 1, m - 1))
     # coordinates exactly 1.0 clamp into the last cell
-    assert grid.cell_of_vertex[3] == grid.flat((m - 1, m - 1))
+    assert grid.cell_of_vertex[3] == _flat(grid, (m - 1, m - 1))
     for v in range(4):
         c = grid.cell_of_vertex[v]
         assert v in grid.vertices_in(c).tolist()
@@ -64,8 +72,11 @@ def test_grid_binning_hand_points():
 def test_grid_multi_flat_round_trip():
     ps = sample_points(50, 3, seed=1)
     grid = build_grid(ps, 0.6, 0.005)
-    for cell in range(0, grid.n_cells, max(1, grid.n_cells // 17)):
-        assert grid.flat(grid.multi(cell)) == cell
+    cells = list(range(0, grid.n_cells, max(1, grid.n_cells // 17)))
+    xyz = grid.coords(cells)
+    assert xyz.shape == (len(cells), 3)
+    assert [_flat(grid, tuple(row)) for row in xyz.tolist()] == cells
+    assert grid.coords([]).shape == (0, 3)
 
 
 def test_grid_regime_error_when_cells_too_big():
@@ -80,12 +91,6 @@ def test_grid_rejects_bad_parameters():
         build_grid(ps, -1.0, 0.01)
     with pytest.raises(ValueError):
         build_grid(ps, 0.3, 0.0)
-
-
-def test_cell_diameter():
-    ps = sample_points(30, 2, seed=3)
-    grid = build_grid(ps, 0.3, 0.015)
-    assert grid.cell_diameter == approx(grid.side * math.sqrt(2))
 
 
 # -- offset distances and the stencil ---------------------------------------
@@ -120,8 +125,6 @@ def test_adjacency_symmetric_and_sorted():
         assert nbs == sorted(nbs)
         assert cell not in nbs
         for nb in nbs:
-            assert graph.are_adjacent(cell, nb)
-            assert graph.are_adjacent(nb, cell)
             assert cell in graph.neighbors(nb)
 
 
@@ -146,8 +149,8 @@ def test_max_degree_within_bound():
 
 
 def _stencil_walk(grid, stencil, cell):
-    mi = grid.multi(cell)
-    return sorted(grid.flat(nb) for nb in
+    mi = _multi(grid, cell)
+    return sorted(_flat(grid, nb) for nb in
                   (tuple(c + t for c, t in zip(mi, delta)) for delta in stencil)
                   if all(0 <= x < grid.m for x in nb))
 
@@ -160,7 +163,8 @@ def test_neighbour_rows_match_stencil_walk(p, d, eps):
     24 cells per axis, stencils from empty to several hundred offsets."""
     grid = build_grid(sample_points(60, d, seed=3, p=p), 0.3, eps)
     for reach in (-1.0, 0.5, 2.5):
-        graph = build_cell_graph(grid, 2 * d * grid.side + reach * grid.side)
+        r0 = 2 * d * grid.side + reach * grid.side
+        graph = build_cell_graph(dataclasses.replace(grid, r0=r0))
         assert graph.degenerate_threshold == (reach < 0)
         longest = 0
         for cell in range(grid.n_cells):
@@ -263,19 +267,19 @@ def test_classification_ugly_cells_not_adjacent_to_good(hole_cloud):
 def test_classification_hole_is_ugly(hole_cloud):
     """The engineered hole: centre cell keeps its 2 points and lands ugly."""
     grid, graph, cls = _engineered_setup(hole_cloud)
-    centre = grid.flat((5, 5))
+    centre = _flat(grid, (5, 5))
     assert centre in cls.ugly
     assert any(centre in comp for comp in cls.ugly_components)
     # the crowded cells are good
-    corner = grid.flat((0, 0))
+    corner = _flat(grid, (0, 0))
     assert corner in cls.good
 
 
 def test_classification_ring_cells_are_bad(ring_cloud):
     grid, graph, cls = _engineered_setup(ring_cloud)
     ring = [(4, 4), (4, 5), (4, 6), (5, 4), (5, 6), (6, 4), (6, 5), (6, 6)]
-    assert {grid.flat(ij) for ij in ring} <= set(cls.bad)
-    assert grid.flat((5, 5)) in cls.ugly
+    assert {_flat(grid, ij) for ij in ring} <= set(cls.bad)
+    assert _flat(grid, (5, 5)) in cls.ugly
 
 
 def test_classification_dense_threshold():
@@ -409,13 +413,16 @@ def _walk_sparse_sizes(cls, A, ell):
         seen.add(start)
         comp = [start]
         for c in comp:
-            for nb in (tuple(x + t for x, t in zip(grid.multi(c), delta)) for delta in power):
+            for nb in (tuple(x + t for x, t in zip(_multi(grid, c), delta)) for delta in power):
                 if all(0 <= x < grid.m for x in nb):
-                    nb = grid.flat(nb)
+                    nb = _flat(grid, nb)
                     if nb in sparse and nb not in seen:
                         seen.add(nb)
                         comp.append(nb)
-        facets = max(int((grid.boundary_distances(c) <= A * grid.r0).sum()) for c in comp)
+        # facet distances of a cell, lower and upper per axis, against A r0
+        facets = max(sum(x * grid.side <= A * grid.r0 for x in _multi(grid, c))
+                     + sum((grid.m - x - 1) * grid.side <= A * grid.r0 for x in _multi(grid, c))
+                     for c in comp)
         for i in range(min(facets, d) + 1):
             sizes[i] = max(sizes[i], len(comp))
     return sizes
@@ -427,9 +434,9 @@ def _bfs_good_near_ugly(cls, bound):
     grid = cls.grid
     failures, worst = 0, 0
     for u in cls.ugly:
-        um = np.array(grid.multi(u))
+        um = np.array(_multi(grid, u))
         sel = [c for c in cls.good
-               if (np.maximum(np.abs(np.array(grid.multi(c)) - um) - 1, 0) * grid.side).max()
+               if (np.maximum(np.abs(np.array(_multi(grid, c)) - um) - 1, 0) * grid.side).max()
                <= 3 * grid.r0]
         if len(sel) <= 1:
             continue
