@@ -16,9 +16,12 @@ The pipeline works outward from the hardest regions of the cube:
                            edge list
 
 Every stage claims colours in a shared ledger, so the final structure is
-rainbow by construction; a certificate is still re-validated against the
-coupled process before it is returned.  Any stage that cannot proceed
-returns a BuildFailure naming the stage instead of raising.
+rainbow by construction.  A stage that cannot proceed raises StageError
+with its stage name, reason and details; build_rainbow catches it and
+returns it as a BuildFailure, so failures are data at the entry point.
+The stages do not check the structure they assemble: build_rainbow
+re-validates every certificate against the coupled process before it is
+returned, and a malformed one becomes a BuildFailure at stage "verify".
 
 Vertex parities, drained cells and exhausted splice slots are normal
 outcomes at simulable n.  A non-positive cell-graph threshold is not a
@@ -36,7 +39,7 @@ import numpy as np
 
 from .geometry import PointSet, json_safe, lp_lengths
 from .hamilton import hamilton_cycle, hamilton_path
-from .process import ColouredProcess, build_process, reference_radii
+from .process import ColouredProcess, _pairs_within, build_process, reference_radii
 from .tessellation import (CellClassification, CellGraph, CellGrid,
                            TessellationRegimeError, build_cell_graph,
                            build_grid, classify_cells)
@@ -49,6 +52,7 @@ __all__ = [
     "GoodCycle",
     "StitchPlan",
     "BuildFailure",
+    "StageError",
     "RainbowCertificate",
     "plan_ugly_paths",
     "colour_ugly_paths",
@@ -89,6 +93,17 @@ class BuildFailure:
                            "reason": self.reason, "mode": self.mode,
                            "n": self.n, "target_radius": self.target_radius,
                            "details": json_safe(self.details)}, sort_keys=True)
+
+
+class StageError(Exception):
+    """Raised by a stage that cannot proceed; build_rainbow returns it as a
+    BuildFailure with the mode, n and target radius filled in."""
+
+    def __init__(self, stage: str, reason: str, **details):
+        super().__init__(f"{stage}: {reason}")
+        self.stage = stage
+        self.reason = reason
+        self.details = details
 
 
 @dataclass
@@ -187,13 +202,8 @@ class _SpareVertexPool:
 
 def _geom_adjacency(vertices, points: PointSet, r: float):
     """Local adjacency among the listed vertices at radius r."""
-    pts = points.points[vertices]
-    k = len(vertices)
-    adj = [set() for _ in range(k)]
-    if k < 2:
-        return adj
-    dmat = lp_lengths(np.abs(pts[:, None, :] - pts[None, :, :]), points.p)
-    aa, bb = np.nonzero(np.triu(dmat <= r, 1))
+    adj = [set() for _ in vertices]
+    aa, bb, _ = _pairs_within(points.points[vertices], r, points.p)
     for a, b in zip(aa.tolist(), bb.tolist()):
         adj[a].add(b)
         adj[b].add(a)
@@ -205,17 +215,14 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                     mode: str = "hc"):
     """Stage 1: plan a path through every inhabited ugly component.
 
-    Returns (plans, claimed) or a BuildFailure.  Claimed vertices (path
-    interiors, parked endpoints, corridor picks) are excluded from all
-    later stages.
+    Returns (plans, claimed); raises StageError("ugly_plan") when a
+    component has no path or an end no parking place.  Claimed vertices
+    (path interiors, parked endpoints, corridor picks) are excluded from
+    all later stages.
     """
     claimed: set = set()
     pool = _SpareVertexPool(grid, classification, claimed, points.points)
     plans = []
-
-    def fail(reason, **details):
-        return BuildFailure(stage="ugly_plan", reason=reason, mode=mode,
-                            n=points.n, target_radius=r, details=details)
 
     def park(endpoint):
         """Claim the nearest spare good-cell vertex within r of the
@@ -237,8 +244,8 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         adj = _geom_adjacency(vertices, points, r)
         order = hamilton_path(len(vertices), adj)
         if order is None:
-            return fail("no spanning path through ugly component",
-                        component_cells=comp, vertices=len(vertices))
+            raise StageError("ugly_plan", "no spanning path through ugly component",
+                             component_cells=comp, vertices=len(vertices))
         interior = [vertices[t] for t in order]
         for v in interior:
             claimed.add(v)
@@ -248,8 +255,8 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
             if len(path) % 2:
                 took = park(path[-1])
                 if took is None:
-                    return fail("no parking vertex to even out path",
-                                component_cells=comp, endpoint=path[-1])
+                    raise StageError("ugly_plan", "no parking vertex to even out path",
+                                     component_cells=comp, endpoint=path[-1])
                 path.append(took[0])
             plans.append(UglyPathPlan(component_cells=comp, interior=interior,
                                       path=path, anchor_cell=None))
@@ -259,12 +266,12 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         # cells share a splice anchor, extending through good cells if not
         head = park(interior[0])
         if head is None:
-            return fail("no parking vertex near path head",
-                        component_cells=comp, endpoint=interior[0])
+            raise StageError("ugly_plan", "no parking vertex near path head",
+                             component_cells=comp, endpoint=interior[0])
         tail = park(interior[-1])
         if tail is None:
-            return fail("no parking vertex near path tail",
-                        component_cells=comp, endpoint=interior[-1])
+            raise StageError("ugly_plan", "no parking vertex near path tail",
+                             component_cells=comp, endpoint=interior[-1])
         (head, head_cell), (tail, tail_cell) = head, tail
 
         path = [head] + interior + [tail]
@@ -281,9 +288,9 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                                                 return_predecessors=True)
             goal = next((k for k in reached.tolist() if good[k] in targets), None)
             if goal is None:
-                return fail("no good-cell corridor between path ends",
-                            component_cells=comp, head_cell=head_cell,
-                            tail_cell=tail_cell)
+                raise StageError("ugly_plan", "no good-cell corridor between path ends",
+                                 component_cells=comp, head_cell=head_cell,
+                                 tail_cell=tail_cell)
             cells = []
             while goal != start:
                 cells.append(good[goal])
@@ -293,8 +300,8 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
             for cell in cells:
                 v = pool.take(cell, prefer=points.points[cur])
                 if v is None:
-                    return fail("corridor cell has no spare vertex",
-                                component_cells=comp, cell=cell)
+                    raise StageError("ugly_plan", "corridor cell has no spare vertex",
+                                     component_cells=comp, cell=cell)
                 path.append(v)
                 cur = v
         plans.append(UglyPathPlan(component_cells=comp, interior=interior,
@@ -304,26 +311,23 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
 
 # -- Stage 2: colour the planned paths ---------------------------------------
 
-def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger,
-                      r: float, mode: str = "hc"):
+def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger, r: float):
     """Stage 2: read the coupled colour of every path edge and claim it.
 
-    A repeated colour or an over-long edge is a structured failure; there
-    is no re-planning, matching the one-shot nature of the construction.
+    A repeated colour or an over-long edge raises StageError("ugly_colour");
+    there is no re-planning, matching the one-shot nature of the
+    construction.  Returns the plans with their edges filled in.
     """
     for pi, plan in enumerate(plans):
         edges = []
         lens, cols = process.pairs(plan.path[:-1], plan.path[1:])
         for a, b, ln, c in zip(plan.path, plan.path[1:], lens.tolist(), cols.tolist()):
             if ln > r * (1 + 1e-12):
-                return BuildFailure(stage="ugly_colour", reason="path edge exceeds radius",
-                                    mode=mode, n=process.n, target_radius=r,
-                                    details={"edge": [a + 1, b + 1], "length": ln})
+                raise StageError("ugly_colour", "path edge exceeds radius",
+                                 edge=[a + 1, b + 1], length=ln)
             if not ledger.claim(c):
-                return BuildFailure(stage="ugly_colour", reason="colour collision on path edge",
-                                    mode=mode, n=process.n, target_radius=r,
-                                    details={"edge": [a + 1, b + 1], "colour": c,
-                                             "plan_index": pi})
+                raise StageError("ugly_colour", "colour collision on path edge",
+                                 edge=[a + 1, b + 1], colour=c, plan_index=pi)
             edges.append((a, b, c, ln))
         plan.edges = edges
     return plans
@@ -344,12 +348,13 @@ class BadPath:
 def build_bad_forests(grid: CellGrid, graph: CellGraph,
                       classification: CellClassification,
                       process: ColouredProcess, ledger: RainbowLedger,
-                      claimed: set, r: float, mode: str = "hc"):
+                      claimed: set, r: float):
     """Stage 3: chain each bad cell's unclaimed residents in index order.
 
     Edges whose colour is already claimed (or that exceed the radius) are
     dropped, splitting the chain; every resulting piece is spliced into
-    the adjacent good cell's cycle later.
+    the adjacent good cell's cycle later.  A bad cell with no good
+    neighbour raises StageError("bad_forest").
     """
     good_set = set(classification.good)
     out = []
@@ -359,9 +364,7 @@ def build_bad_forests(grid: CellGrid, graph: CellGraph,
             continue
         parents = sorted(nb for nb in graph.neighbors(cell) if nb in good_set)
         if not parents:
-            return BuildFailure(stage="bad_forest", reason="bad cell lost its good neighbour",
-                                mode=mode, n=process.n, target_radius=r,
-                                details={"cell": cell})
+            raise StageError("bad_forest", "bad cell lost its good neighbour", cell=cell)
         parent = parents[0]
         seg = [vs[0]]
         seg_edges = []
@@ -393,19 +396,19 @@ class GoodCycle:
 
 def build_good_cycles(grid: CellGrid, classification: CellClassification,
                       process: ColouredProcess, ledger: RainbowLedger,
-                      claimed: set, r: float, mode: str = "hc"):
+                      claimed: set, r: float):
     """Stage 4: in each good cell, keep edges whose colour occurs exactly
     once within the cell and is globally unclaimed, then find a Hamilton
     cycle on what remains.  Distinct survivors automatically have distinct
-    colours, so the cycle is rainbow.
+    colours, so the cycle is rainbow.  A cell with fewer than three
+    residents left, or without such a cycle, raises StageError("good_cycle").
     """
     cycles = {}
     for cell in classification.good:
         vs = [v for v in grid.vertices_in(cell).tolist() if v not in claimed]
         if len(vs) < 3:
-            return BuildFailure(stage="good_cycle", reason="good cell drained below cycle size",
-                                mode=mode, n=process.n, target_radius=r,
-                                details={"cell": cell, "remaining": len(vs)})
+            raise StageError("good_cycle", "good cell drained below cycle size",
+                             cell=cell, remaining=len(vs))
         k = len(vs)
         pa, pb = np.triu_indices(k, 1)
         lens, cols = process.pairs(np.array(vs)[pa], np.array(vs)[pb])
@@ -422,10 +425,8 @@ def build_good_cycles(grid: CellGrid, classification: CellClassification,
                 usable[(a, b)] = (c, ln)
         order_local = hamilton_cycle(k, adj)
         if order_local is None:
-            return BuildFailure(stage="good_cycle", reason="no rainbow cycle in good cell",
-                                mode=mode, n=process.n, target_radius=r,
-                                details={"cell": cell, "vertices": k,
-                                         "survivor_edges": len(usable)})
+            raise StageError("good_cycle", "no rainbow cycle in good cell",
+                             cell=cell, vertices=k, survivor_edges=len(usable))
         edges = []
         for t in range(k):
             ai, bi = order_local[t], order_local[(t + 1) % k]
@@ -472,14 +473,11 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
 
     Splice demand concentrates around sparse regions, so the spanning tree
     grows toward the cell with the most unspent slots, and chains fall back
-    to any adjacent good cell when their first choice is spent.
+    to any adjacent good cell when their first choice is spent.  A join
+    that finds no splice raises StageError("stitch").
     """
     good = classification.good
     good_set = set(good)
-
-    def fail(reason, **details):
-        return BuildFailure(stage="stitch", reason=reason, mode=mode,
-                            n=process.n, target_radius=r, details=details)
 
     free = {cell: _slot_edges(cyc) for cell, cyc in cycles.items()}
     plan = StitchPlan()
@@ -569,47 +567,46 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
         if best is None:
             reachable = any(nb not in seen for pc in seen for nb in good_nbs[pc])
             if not reachable:
-                return fail("good cells are not connected",
-                            reached=len(seen), total=len(good))
-            return fail("splice slots exhausted while joining good cells",
-                        reached=len(seen), total=len(good))
+                raise StageError("stitch", "good cells are not connected",
+                                 reached=len(seen), total=len(good))
+            raise StageError("stitch", "splice slots exhausted while joining good cells",
+                             reached=len(seen), total=len(good))
         _, pc, cc = best
         if not merge_cycles(pc, cc):
-            return fail("no splice joining adjacent good cells",
-                        parent_cell=pc, child_cell=cc,
-                        parent_slots=len(free[pc]), child_slots=len(free[cc]))
+            raise StageError("stitch", "no splice joining adjacent good cells",
+                             parent_cell=pc, child_cell=cc,
+                             parent_slots=len(free[pc]), child_slots=len(free[cc]))
         seen.add(cc)
 
     for bp in sorted(bad_paths, key=lambda b: (b.parent_cell, b.vertices[0])):
         hosts = by_capacity([c for c in graph.neighbors(bp.cell) if c in good_set])
         if not splice_path(hosts, bp.vertices[0], bp.vertices[-1], "bad", bp):
-            return fail("no splice for bad-cell chain", cell=bp.cell,
-                        candidates=hosts[:8])
+            raise StageError("stitch", "no splice for bad-cell chain", cell=bp.cell,
+                             candidates=hosts[:8])
 
     if mode == "hc":
         for pi, up in enumerate(plans):
             anchor = up.anchor_cell
             if anchor not in cycles:
-                return fail("anchor cell has no cycle", anchor_cell=anchor)
+                raise StageError("stitch", "anchor cell has no cycle", anchor_cell=anchor)
             hosts = [anchor] + by_capacity(
                 [c for c in graph.neighbors(anchor) if c in cycles])
             if not splice_path(hosts, up.path[0], up.path[-1], "ugly", up):
-                return fail("no splice for ugly path near its anchor",
-                            anchor_cell=anchor, plan_index=pi)
+                raise StageError("stitch", "no splice for ugly path near its anchor",
+                                 anchor_cell=anchor, plan_index=pi)
     return plan
 
 
 # -- Stage 6: apply all splices ------------------------------------------------
 
-def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan,
-                 mode: str, n: int, r: float):
+def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan, mode: str):
     """Stage 6: remove every chosen slot edge, add the bridges and path
     edges, and read off the final structure.
 
     Returns the edge list (i, j, colour, length) of the Hamilton cycle, or
-    of the perfect matching (alternate cycle edges plus alternate edges of
-    each standalone path), or a BuildFailure if the pieces do not close
-    into a single cycle.
+    of the perfect matching: alternate edges of the stitched cycle, walked
+    from its smallest vertex, plus alternate edges of each standalone path.
+    Nothing here checks the structure; build_rainbow validates it.
     """
     removed = set()
     for mg in plan.merges:
@@ -624,88 +621,31 @@ def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan,
                 edge_list.append(e)
     for bp in bad_paths:
         edge_list.extend(bp.edges)
-    hooked_paths = set()
     for mg in plan.merges:
         edge_list.extend(mg["added"])
         if mg["kind"] == "ugly":
-            hooked_paths.add(id(mg["path"]))
             edge_list.extend(mg["path"].edges)
+    if mode == "hc":
+        return edge_list
 
-    standalone = []
-    if mode == "pm":
-        standalone = plans
-    else:
-        for up in plans:
-            if id(up) not in hooked_paths:
-                return BuildFailure(stage="apply", reason="ugly path was never spliced",
-                                    mode=mode, n=n, target_radius=r, details={})
-
-    adj = {}
+    adj, lookup = {}, {}
     for (i, j, c, ln) in edge_list:
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
-    bad_deg = [v for v, ns in adj.items() if len(ns) != 2]
-    if bad_deg:
-        return BuildFailure(stage="apply", reason="stitched structure is not 2-regular",
-                            mode=mode, n=n, target_radius=r,
-                            details={"vertices": [v + 1 for v in bad_deg[:10]]})
-    if not adj:
-        cycle_vertices = []
-    else:
-        start = min(adj)
-        cycle_vertices = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            # a doubled edge makes both neighbours equal; take the other copy
-            if not nxt:
-                nxt = [adj[cur][0]]
-            step = nxt[0]
-            if step == start:
-                break
-            cycle_vertices.append(step)
-            prev, cur = cur, step
-            if len(cycle_vertices) > len(adj):
-                return BuildFailure(stage="apply", reason="stitched edges do not close a cycle",
-                                    mode=mode, n=n, target_radius=r, details={})
-        if len(cycle_vertices) != len(adj):
-            return BuildFailure(stage="apply", reason="stitched edges split into several cycles",
-                                mode=mode, n=n, target_radius=r,
-                                details={"cycle_length": len(cycle_vertices),
-                                         "vertices_expected": len(adj)})
-
-    if mode == "hc":
-        if len(cycle_vertices) != n:
-            return BuildFailure(stage="apply", reason="cycle misses vertices",
-                                mode=mode, n=n, target_radius=r,
-                                details={"covered": len(cycle_vertices), "n": n})
-        return edge_list
-
-    # matching mode: alternate edges around the cycle, plus alternate edges
-    # of each standalone path (paths have even vertex count by planning)
-    covered = len(cycle_vertices) + sum(len(p.path) for p in standalone)
-    if covered != n:
-        return BuildFailure(stage="apply", reason="structure misses vertices",
-                            mode=mode, n=n, target_radius=r,
-                            details={"covered": covered, "n": n})
-    if len(cycle_vertices) % 2:
-        return BuildFailure(stage="apply", reason="cycle has odd length, no alternation",
-                            mode=mode, n=n, target_radius=r,
-                            details={"cycle_length": len(cycle_vertices)})
-    lookup = {}
-    for (i, j, c, ln) in edge_list:
-        lookup[(min(i, j), max(i, j))] = (c, ln)
-    matching = []
-    L = len(cycle_vertices)
-    for t in range(0, L, 2):
-        a, b = cycle_vertices[t], cycle_vertices[(t + 1) % L]
-        c, ln = lookup[(min(a, b), max(a, b))]
-        matching.append((a, b, c, ln))
-    for p in standalone:
-        assert len(p.path) % 2 == 0
-        for t in range(0, len(p.path) - 1, 2):
-            a, b, c, ln = p.edges[t]
-            matching.append((a, b, c, ln))
+        lookup[i, j] = lookup[j, i] = (c, ln)
+    # walk at most len(adj) steps; a doubled edge makes both neighbours
+    # equal, so the walk takes the other copy
+    steps = []
+    prev, cur = None, min(adj, default=None)
+    for _ in range(len(adj)):
+        step = next((w for w in adj[cur] if w != prev), adj[cur][0])
+        steps.append((cur, step))
+        if step == steps[0][0]:
+            break
+        prev, cur = cur, step
+    matching = [(a, b) + lookup[a, b] for a, b in steps[::2]]
+    for p in plans:
+        matching.extend(p.edges[::2])
     return matching
 
 
@@ -726,102 +666,77 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
     if mode not in ("hc", "pm"):
         raise ValueError("mode must be 'hc' or 'pm'")
     n = points.n
-    if mode == "hc" and n < 3:
-        return BuildFailure(stage="input", reason="cycle needs at least 3 vertices",
-                            mode=mode, n=n, target_radius=r)
-    if mode == "pm" and (n < 2 or n % 2):
-        return BuildFailure(stage="input", reason="matching needs a positive even vertex count",
-                            mode=mode, n=n, target_radius=r)
-
-    small = n <= (_oracle.HC_VERTEX_LIMIT if mode == "hc" else _oracle.PM_VERTEX_LIMIT)
-    # colours do not depend on the cutoff (see process.py) and the staged
-    # stages read pairs through the coupling alone, so they need no events;
-    # min() keeps build_process's refusal of a negative radius
-    process = build_process(points, cutoff=r if small else min(r, 0.0), K=K,
-                            n_colours=n_colours, colour_seed=colour_seed)
-
-    def _finish(edges, method, meta=None):
+    try:
+        if mode == "hc" and n < 3:
+            raise StageError("input", "cycle needs at least 3 vertices")
+        if mode == "pm" and (n < 2 or n % 2):
+            raise StageError("input", "matching needs a positive even vertex count")
+        small = n <= (_oracle.HC_VERTEX_LIMIT if mode == "hc" else _oracle.PM_VERTEX_LIMIT)
+        # colours do not depend on the cutoff (see process.py) and the staged
+        # stages read pairs through the coupling alone, so they need no events;
+        # min() keeps build_process's refusal of a negative radius
+        process = build_process(points, cutoff=r if small else min(r, 0.0), K=K,
+                                n_colours=n_colours, colour_seed=colour_seed)
+        if small:
+            witness = _oracle.rainbow_witness_at(process, process.cutoff, mode)
+            if witness is None:
+                raise StageError("oracle", "no rainbow structure within radius")
+            ii, jj, cc = np.array(witness).T
+            lens = process.distance_of(ii, jj)
+            edges = list(zip(ii.tolist(), jj.tolist(), cc.tolist(), lens.tolist()))
+            method, meta = "oracle", {}
+        else:
+            edges, meta = _staged(points, r, mode, process, epsilon, grid_radius)
+            method = "staged"
         radius = max((ln for (_, _, _, ln) in edges), default=0.0)
         cert = RainbowCertificate(mode=mode, n=n, radius=float(radius),
                                   target_radius=float(r), edges=edges,
                                   method=method, colour_seed=colour_seed,
-                                  n_colours=process.n_colours,
-                                  meta=meta or {})
+                                  n_colours=process.n_colours, meta=meta)
         problems = _oracle.validate_certificate(cert.to_dict(), process)
         if problems:
-            return BuildFailure(stage="verify", reason="assembled structure failed validation",
-                                mode=mode, n=n, target_radius=r,
-                                details={"problems": problems[:10]})
+            raise StageError("verify", "assembled structure failed validation",
+                             problems=problems[:10])
         return cert
+    except StageError as exc:
+        return BuildFailure(stage=exc.stage, reason=exc.reason, mode=mode, n=n,
+                            target_radius=r, details=exc.details)
 
-    if small:
-        witness = _oracle.rainbow_witness_at(process, process.cutoff, mode)
-        if witness is None:
-            return BuildFailure(stage="oracle", reason="no rainbow structure within radius",
-                                mode=mode, n=n, target_radius=r)
-        ii, jj, cc = np.array(witness).T
-        lens = process.distance_of(ii, jj)
-        return _finish(list(zip(ii.tolist(), jj.tolist(), cc.tolist(), lens.tolist())),
-                       method="oracle")
 
+def _staged(points: PointSet, r: float, mode: str, process: ColouredProcess,
+            epsilon: float, grid_radius: float | None):
+    """Tessellate and run the six stages; (edges, meta), or raises StageError."""
+    n = points.n
     if grid_radius is not None:
         r0 = float(grid_radius)
     else:
         try:
             r0 = reference_radii(n, points.dim, points.p).r0
         except ValueError as exc:
-            return BuildFailure(stage="scale", reason="reference radius undefined at this size",
-                                mode=mode, n=n, target_radius=r, details={"error": str(exc)})
+            raise StageError("scale", "reference radius undefined at this size",
+                             error=str(exc)) from exc
     try:
         grid = build_grid(points, r0, epsilon)
     except TessellationRegimeError as exc:
-        return BuildFailure(stage="tessellation", reason=str(exc), mode=mode,
-                            n=n, target_radius=r)
+        raise StageError("tessellation", str(exc)) from exc
     graph = build_cell_graph(grid)
     if graph.degenerate_threshold:
-        return BuildFailure(stage="tessellation", reason="cell adjacency threshold non-positive",
-                            mode=mode, n=n, target_radius=r,
-                            details={"threshold": graph.threshold, "cells_per_axis": grid.m,
-                                     "side": grid.side, "r0": r0, "epsilon": epsilon})
+        raise StageError("tessellation", "cell adjacency threshold non-positive",
+                         threshold=graph.threshold, cells_per_axis=grid.m,
+                         side=grid.side, r0=r0, epsilon=epsilon)
     classification = classify_cells(grid, graph)
     if classification.degenerate:
-        return BuildFailure(stage="tessellation", reason="no dense cells at this scale",
-                            mode=mode, n=n, target_radius=r,
-                            details={"dense_threshold": classification.dense_threshold})
+        raise StageError("tessellation", "no dense cells at this scale",
+                         dense_threshold=classification.dense_threshold)
 
     ledger = RainbowLedger()
-    got = plan_ugly_paths(points, grid, graph, classification, r, mode=mode)
-    if isinstance(got, BuildFailure):
-        return got
-    plans, claimed = got
-
-    got = colour_ugly_paths(plans, process, ledger, r, mode=mode)
-    if isinstance(got, BuildFailure):
-        return got
-    plans = got
-
-    got = build_bad_forests(grid, graph, classification, process, ledger, claimed, r,
-                            mode=mode)
-    if isinstance(got, BuildFailure):
-        return got
-    bad_paths = got
-
-    got = build_good_cycles(grid, classification, process, ledger, claimed, r,
-                            mode=mode)
-    if isinstance(got, BuildFailure):
-        return got
-    cycles = got
-
-    got = build_stitch_plan(graph, classification, cycles, bad_paths, plans,
-                            process, ledger, r, mode=mode)
-    if isinstance(got, BuildFailure):
-        return got
-    stitch = got
-
-    edges = apply_stitch(cycles, bad_paths, plans, stitch, mode, n, r)
-    if isinstance(edges, BuildFailure):
-        return edges
-
+    plans, claimed = plan_ugly_paths(points, grid, graph, classification, r, mode)
+    colour_ugly_paths(plans, process, ledger, r)
+    bad_paths = build_bad_forests(grid, graph, classification, process, ledger, claimed, r)
+    cycles = build_good_cycles(grid, classification, process, ledger, claimed, r)
+    stitch = build_stitch_plan(graph, classification, cycles, bad_paths, plans,
+                               process, ledger, r, mode)
+    edges = apply_stitch(cycles, bad_paths, plans, stitch, mode)
     meta = {
         "stages": {
             "ugly_paths": len(plans),
@@ -836,4 +751,4 @@ def build_rainbow(points: PointSet, r: float, *, mode: str = "hc",
         "r0": r0,
         "epsilon": epsilon,
     }
-    return _finish(edges, method="staged", meta=meta)
+    return edges, meta

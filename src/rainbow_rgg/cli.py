@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: simulate, hitting, build, oracle, experiment, lawcheck.
-Every subcommand accepts --seed, --threads and --out; results go to stdout
-unless --out names a file (experiment writes <out>.csv and <out>.json).
+Every subcommand accepts --seed and --out; results go to stdout unless
+--out names a file (experiment writes <out>.csv and <out>.json).  The two
+that run many trials, experiment and lawcheck, also take --threads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import oracle as _oracle
 def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master PRNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker processes")
     common.add_argument("--out", type=str, default=None, help="output file (or prefix)")
     return common
 
@@ -104,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--epsilon", type=float, default=0.1)
     pe.add_argument("--modes", type=str, default="hc,pm")
     pe.add_argument("--rainbow", action="store_true")
+    pe.add_argument("--threads", type=int, default=1, help="worker processes")
 
     pl = sub.add_parser("lawcheck", parents=[common],
                         help="empirical min-degree law against the limit distributions")
@@ -112,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--d", type=int, default=2)
     pl.add_argument("--p", type=_norm, default=math.inf)
     pl.add_argument("--alphas", type=str, default="-1,0,1")
+    pl.add_argument("--threads", type=int, default=1, help="worker processes")
     return top
 
 

@@ -216,6 +216,15 @@ class ExperimentConfig:
         self.ns = tuple(int(x) for x in self.ns)
         self.modes = tuple(self.modes)
         self.alphas = tuple(float(a) for a in self.alphas)
+        if not set(self.modes) <= {"hc", "pm"}:
+            raise ValueError(f"modes must be 'hc' or 'pm', got {self.modes!r}")
+        # a min-degree-2 radius (hitting, lawcheck, an hc build) needs a
+        # second neighbour; a pm build needs one
+        least = 2 if self.kind == "build" and "hc" not in self.modes else 3
+        for n in self.ns:
+            if n < least:
+                raise ValueError(f"experiment kind {self.kind!r} needs n >= {least}, "
+                                 f"got n = {n}")
 
 
 @dataclass

@@ -328,6 +328,7 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
     if not good:
         return True, 0, 0.0
     good_multis = grid.coords(good)
+    good_adj = graph.induced(good)
     failures = 0
     worst_diam = 0
     for um in grid.coords(classification.ugly):
@@ -335,9 +336,10 @@ def _good_near_ugly(classification: CellClassification, diameter_bound: float):
         near = np.nonzero(gaps.max(axis=1) <= 3 * grid.r0)[0]
         if near.size <= 1:
             continue
-        sel = [good[i] for i in near]
-        # hop distances from the first selected cell
-        dist = shortest_path(graph.induced(sel), directed=False, unweighted=True, indices=0)
+        # hop distances from the first selected cell; good and near ascend,
+        # so the slice is the subgraph induced on the selected cells
+        dist = shortest_path(good_adj[near][:, near], directed=False, unweighted=True,
+                             indices=0)
         if np.isinf(dist).any():
             failures += 1
             continue

@@ -28,6 +28,7 @@ from rainbow_rgg import (
 )
 from rainbow_rgg import builder
 from rainbow_rgg.builder import (
+    StageError,
     _SpareVertexPool,
     apply_stitch,
     build_bad_forests,
@@ -179,7 +180,7 @@ def test_radius_too_small_fails_cleanly(hole_cloud):
                         K=20.0, grid_radius=GRID_RADIUS)
     assert isinstance(got, BuildFailure)
     assert got.stage in ("ugly_plan", "ugly_colour", "bad_forest",
-                         "good_cycles", "stitch")
+                         "good_cycle", "stitch")
     assert json.loads(got.to_json())["target_radius"] == approx(0.04)
 
 
@@ -189,16 +190,14 @@ def test_colour_starvation_fails_cleanly(hole_cloud):
     got = build_rainbow(hole_cloud, RADIUS, mode="hc", epsilon=EPSILON,
                         n_colours=1, grid_radius=GRID_RADIUS)
     assert isinstance(got, BuildFailure)
-    assert got.stage in ("ugly_colour", "good_cycles")
+    assert got.stage in ("ugly_colour", "good_cycle")
 
 
 # -- stage 1/2: ugly paths ---------------------------------------------------
 
 def test_plan_ugly_paths_cycle_mode(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
-    got = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
-    assert not isinstance(got, BuildFailure)
-    plans, claimed = got
+    plans, claimed = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
     assert len(plans) == 1
     plan = plans[0]
     assert plan.anchor_cell in set(cls.good)
@@ -217,9 +216,7 @@ def test_plan_ugly_paths_cycle_mode(ring_cloud):
 
 def test_plan_ugly_paths_matching_mode(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
-    got = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="pm")
-    assert not isinstance(got, BuildFailure)
-    plans, claimed = got
+    plans, claimed = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="pm")
     for plan in plans:
         assert len(plan.path) % 2 == 0
         assert plan.anchor_cell is None
@@ -231,7 +228,6 @@ def test_colour_ugly_paths_claims_distinct(ring_cloud):
     ledger = RainbowLedger()
     plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
     got = colour_ugly_paths(plans, proc, ledger, RADIUS)
-    assert not isinstance(got, BuildFailure)
     cols = [c for plan in got for (_, _, c, _) in plan.edges]
     assert len(set(cols)) == len(cols)
     assert set(cols) == ledger.used
@@ -242,27 +238,30 @@ def test_colour_ugly_paths_collision(ring_cloud):
     proc = build_process(ring_cloud, cutoff=RADIUS, n_colours=1)
     ledger = RainbowLedger()
     plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
-    got = colour_ugly_paths(plans, proc, ledger, RADIUS)
-    assert isinstance(got, BuildFailure)
-    assert got.stage == "ugly_colour"
-    assert got.reason == "colour collision on path edge"
+    with pytest.raises(StageError) as err:
+        colour_ugly_paths(plans, proc, ledger, RADIUS)
+    assert err.value.stage == "ugly_colour"
+    assert err.value.reason == "colour collision on path edge"
 
 
-def test_stage_failures_carry_mode(ring_cloud, hole_cloud):
-    """Each stage labels its BuildFailure with the mode it is given."""
-    got = build_rainbow(hole_cloud, RADIUS, mode="pm", epsilon=EPSILON, n_colours=1,
-                        grid_radius=GRID_RADIUS)
-    assert (got.stage, got.mode) == ("good_cycle", "pm")
+def test_good_cycles_drained_cell_raises(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, n_colours=1)
-    plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
-    for mode in ("hc", "pm"):
-        got = colour_ugly_paths(plans, proc, RainbowLedger(), RADIUS, mode=mode)
-        assert (got.stage, got.mode) == ("ugly_colour", mode)
-        got = build_good_cycles(grid, cls, proc, RainbowLedger(), set(range(ring_cloud.n)),
-                                RADIUS, mode=mode)
-        assert (got.stage, got.reason, got.mode) == \
-            ("good_cycle", "good cell drained below cycle size", mode)
+    with pytest.raises(StageError) as err:
+        build_good_cycles(grid, cls, proc, RainbowLedger(), set(range(ring_cloud.n)), RADIUS)
+    assert (err.value.stage, err.value.reason) == \
+        ("good_cycle", "good cell drained below cycle size")
+
+
+def test_stage_failures_carry_mode(hole_cloud):
+    """build_rainbow labels a stage's failure with the mode, n and target
+    radius of the build."""
+    for mode, stage in (("hc", "ugly_colour"), ("pm", "good_cycle")):
+        got = build_rainbow(hole_cloud, RADIUS, mode=mode, epsilon=EPSILON, n_colours=1,
+                            grid_radius=GRID_RADIUS)
+        assert isinstance(got, BuildFailure)
+        assert (got.stage, got.mode, got.n, got.target_radius) == \
+            (stage, mode, hole_cloud.n, RADIUS)
 
 
 # -- stage 3: bad chains ----------------------------------------------------
@@ -272,7 +271,6 @@ def test_bad_forests_cover_bad_residents(ring_cloud):
     proc = build_process(ring_cloud, cutoff=RADIUS, K=20.0, colour_seed=5)
     ledger = RainbowLedger()
     chains = build_bad_forests(grid, graph, cls, proc, ledger, set(), RADIUS)
-    assert not isinstance(chains, BuildFailure)
     covered = sorted(v for ch in chains for v in ch.vertices)
     expect = sorted(v for c in cls.bad for v in grid.vertices_in(c).tolist())
     assert covered == expect
@@ -293,7 +291,6 @@ def test_good_cycles_one_per_cell(hole_cloud):
     proc = build_process(hole_cloud, cutoff=RADIUS, K=20.0, colour_seed=11)
     ledger = RainbowLedger()
     cycles = build_good_cycles(grid, cls, proc, ledger, set(), RADIUS)
-    assert not isinstance(cycles, BuildFailure)
     assert sorted(cycles) == sorted(cls.good)
     all_cols = []
     for cell, cyc in cycles.items():
@@ -340,7 +337,6 @@ def _full_stages(cloud, mode, colour_seed):
 
 def test_stitch_plan_uses_fresh_colour_pairs(ring_cloud):
     proc, plans, chains, cycles, stitch = _full_stages(ring_cloud, "hc", 5)
-    assert not isinstance(stitch, BuildFailure)
     seen = set()
     for merge in stitch.merges:
         (u1, v1, c1, l1), (u2, v2, c2, l2) = merge["added"]
@@ -356,8 +352,7 @@ def test_stitch_plan_uses_fresh_colour_pairs(ring_cloud):
 
 def test_apply_stitch_single_cycle(ring_cloud):
     proc, plans, chains, cycles, stitch = _full_stages(ring_cloud, "hc", 5)
-    edges = apply_stitch(cycles, chains, plans, stitch, "hc", ring_cloud.n, RADIUS)
-    assert not isinstance(edges, BuildFailure)
+    edges = apply_stitch(cycles, chains, plans, stitch, "hc")
     n = ring_cloud.n
     assert len(edges) == n
     deg = np.zeros(n, dtype=int)
@@ -382,10 +377,36 @@ def test_apply_stitch_single_cycle(ring_cloud):
 
 def test_apply_stitch_perfect_matching(ring_cloud):
     proc, plans, chains, cycles, stitch = _full_stages(ring_cloud, "pm", 5)
-    edges = apply_stitch(cycles, chains, plans, stitch, "pm", ring_cloud.n, RADIUS)
-    assert not isinstance(edges, BuildFailure)
+    edges = apply_stitch(cycles, chains, plans, stitch, "pm")
     verts = [v for (a, b, _, _) in edges for v in (a, b)]
     assert sorted(verts) == list(range(ring_cloud.n))
+
+
+@pytest.mark.parametrize("mode", ["hc", "pm"])
+def test_malformed_stitch_fails_verification(ring_cloud, mode, monkeypatch):
+    """apply_stitch does not check what it assembles: a stitch plan missing
+    one merge leaves two cycles, and the validator turns that into a
+    failure at stage "verify" instead of a certificate."""
+    plan_stitch = builder.build_stitch_plan
+    validate = builder._oracle.validate_certificate
+    found = []
+
+    def dropping(*args, **kwargs):
+        plan = plan_stitch(*args, **kwargs)
+        plan.merges.pop(0)
+        return plan
+
+    def recording(cert, process):
+        found.append(validate(cert, process))
+        return found[-1]
+
+    monkeypatch.setattr(builder, "build_stitch_plan", dropping)
+    monkeypatch.setattr(builder._oracle, "validate_certificate", recording)
+    got = _staged(ring_cloud, mode, colour_seed=5)
+    assert isinstance(got, BuildFailure), got.to_json()
+    assert (got.stage, got.reason) == ("verify", "assembled structure failed validation")
+    assert len(found) == 1 and found[0]
+    assert got.details["problems"] == found[0][:10]
 
 
 # -- spare vertex pool ------------------------------------------------------

@@ -159,6 +159,18 @@ def test_experiment_deterministic_across_threads(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_threads_only_on_trial_subcommands(capsys):
+    """--threads belongs to experiment and lawcheck; elsewhere argparse
+    rejects it instead of ignoring it."""
+    with pytest.raises(SystemExit) as err:
+        main(["hitting", "--n", "5", "--threads", "2"])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    for argv in (["experiment", "--kind", "hitting", "--ns", "5", "--trials", "1"],
+                 ["lawcheck", "--n", "5", "--trials", "1"]):
+        assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+
+
 def test_lawcheck_summary(tmp_path):
     out = tmp_path / "law.json"
     rc = main(["lawcheck", "--n", "200", "--trials", "3", "--alphas", "0",

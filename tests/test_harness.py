@@ -179,6 +179,33 @@ def test_config_validates_kind():
         ExperimentConfig(kind="nope", ns=(10,), trials=1)
 
 
+@pytest.mark.parametrize("kind, n, modes, minimum", [
+    ("hitting", 2, ("hc", "pm"), 3),
+    ("lawcheck", 2, ("hc", "pm"), 3),
+    ("build", 2, ("hc", "pm"), 3),
+    ("build", 2, ("hc",), 3),
+    ("build", 1, ("pm",), 2),
+])
+def test_config_refuses_n_below_kind_minimum(kind, n, modes, minimum):
+    with pytest.raises(ValueError, match=rf"{kind}.*n >= {minimum}, got n = {n}"):
+        ExperimentConfig(kind=kind, ns=(10, n), trials=1, modes=modes)
+
+
+def test_config_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="modes must be"):
+        ExperimentConfig(kind="build", ns=(10,), trials=1, modes=("hc", "tour"))
+
+
+@pytest.mark.parametrize("kind, n, modes", [
+    ("build", 2, ("pm",)),
+    ("hitting", 3, ("hc", "pm")),
+    ("lawcheck", 3, ("hc", "pm")),
+])
+def test_config_accepts_kind_minimum(kind, n, modes):
+    (record,) = run_trials(ExperimentConfig(kind=kind, ns=(n,), trials=1, modes=modes))
+    assert record.n == n and record.values
+
+
 def test_hitting_records_structure():
     config = ExperimentConfig(kind="hitting", ns=(20, 30), trials=3,
                               master_seed=7, include_rainbow=False)
