@@ -21,10 +21,9 @@ from .oracle import (HC_VERTEX_LIMIT, PM_VERTEX_LIMIT, ColouredGraphInstance,
                      exact_rainbow_perfect_matching, instance_from_text,
                      rainbow_witness_at, validate_certificate)
 from .builder import (BadPath, BuildFailure, GoodCycle, RainbowCertificate,
-                      RainbowLedger, StageError, StitchPlan, UglyPathPlan,
-                      apply_stitch, build_bad_forests, build_good_cycles,
-                      build_rainbow, build_stitch_plan, colour_ugly_paths,
-                      plan_ugly_paths)
+                      StageError, UglyPathPlan, apply_stitch, build_bad_forests,
+                      build_good_cycles, build_rainbow, build_stitch_plan,
+                      colour_ugly_paths, plan_ugly_paths)
 from .harness import (ExperimentConfig, TrialRecord, corollary_radius,
                       finite_n_cdf_pm, hitting_radii, limit_cdf_hc,
                       limit_cdf_pm, max_knn_distance, min_degree_law_experiment,

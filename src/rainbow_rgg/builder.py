@@ -15,10 +15,11 @@ The pipeline works outward from the hardest regions of the cube:
   6. apply_stitch       -- apply all splices at once and emit the final
                            edge list
 
-Every stage claims colours in a shared ledger, so the final structure is
-rainbow by construction.  A stage that cannot proceed raises StageError
-with its stage name, reason and details; build_rainbow catches it and
-returns it as a BuildFailure, so failures are data at the entry point.
+Every stage adds the colours it takes to one shared set of used colours
+and takes none already in it, so the final structure is rainbow by
+construction.  A stage that cannot proceed raises StageError with its
+stage name, reason and details; build_rainbow catches it and returns it
+as a BuildFailure, so failures are data at the entry point.
 The stages do not check the structure they assemble: build_rainbow
 re-validates every certificate against the coupled process before it is
 returned, and a malformed one becomes a BuildFailure at stage "verify".
@@ -46,11 +47,9 @@ from .tessellation import (CellClassification, CellGraph, CellGrid,
 from . import oracle as _oracle
 
 __all__ = [
-    "RainbowLedger",
     "UglyPathPlan",
     "BadPath",
     "GoodCycle",
-    "StitchPlan",
     "BuildFailure",
     "StageError",
     "RainbowCertificate",
@@ -62,19 +61,6 @@ __all__ = [
     "apply_stitch",
     "build_rainbow",
 ]
-
-
-@dataclass
-class RainbowLedger:
-    """Colours claimed so far; a colour can be claimed exactly once."""
-
-    used: set = field(default_factory=set)
-
-    def claim(self, colour: int) -> bool:
-        if colour in self.used:
-            return False
-        self.used.add(colour)
-        return True
 
 
 @dataclass
@@ -155,7 +141,6 @@ class UglyPathPlan:
     path stands alone and only needs an even vertex count.
     """
 
-    component_cells: list
     interior: list
     path: list
     anchor_cell: int | None = None
@@ -258,8 +243,7 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                     raise StageError("ugly_plan", "no parking vertex to even out path",
                                      component_cells=comp, endpoint=path[-1])
                 path.append(took[0])
-            plans.append(UglyPathPlan(component_cells=comp, interior=interior,
-                                      path=path, anchor_cell=None))
+            plans.append(UglyPathPlan(interior=interior, path=path))
             continue
 
         # cycle mode: park both ends in good cells, then make sure both end
@@ -304,15 +288,15 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                                      component_cells=comp, cell=cell)
                 path.append(v)
                 cur = v
-        plans.append(UglyPathPlan(component_cells=comp, interior=interior,
-                                  path=path, anchor_cell=anchor))
+        plans.append(UglyPathPlan(interior=interior, path=path, anchor_cell=anchor))
     return plans, claimed
 
 
 # -- Stage 2: colour the planned paths ---------------------------------------
 
-def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger, r: float):
-    """Stage 2: read the coupled colour of every path edge and claim it.
+def colour_ugly_paths(plans, process: ColouredProcess, used: set, r: float):
+    """Stage 2: read the coupled colour of every path edge and add it to
+    the used colours.
 
     A repeated colour or an over-long edge raises StageError("ugly_colour");
     there is no re-planning, matching the one-shot nature of the
@@ -322,12 +306,13 @@ def colour_ugly_paths(plans, process: ColouredProcess, ledger: RainbowLedger, r:
         edges = []
         lens, cols = process.pairs(plan.path[:-1], plan.path[1:])
         for a, b, ln, c in zip(plan.path, plan.path[1:], lens.tolist(), cols.tolist()):
-            if ln > r * (1 + 1e-12):
+            if ln > r:
                 raise StageError("ugly_colour", "path edge exceeds radius",
                                  edge=[a + 1, b + 1], length=ln)
-            if not ledger.claim(c):
+            if c in used:
                 raise StageError("ugly_colour", "colour collision on path edge",
                                  edge=[a + 1, b + 1], colour=c, plan_index=pi)
+            used.add(c)
             edges.append((a, b, c, ln))
         plan.edges = edges
     return plans
@@ -347,11 +332,11 @@ class BadPath:
 
 def build_bad_forests(grid: CellGrid, graph: CellGraph,
                       classification: CellClassification,
-                      process: ColouredProcess, ledger: RainbowLedger,
+                      process: ColouredProcess, used: set,
                       claimed: set, r: float):
     """Stage 3: chain each bad cell's unclaimed residents in index order.
 
-    Edges whose colour is already claimed (or that exceed the radius) are
+    Edges whose colour is already used (or that exceed the radius) are
     dropped, splitting the chain; every resulting piece is spliced into
     the adjacent good cell's cycle later.  A bad cell with no good
     neighbour raises StageError("bad_forest").
@@ -370,7 +355,8 @@ def build_bad_forests(grid: CellGrid, graph: CellGraph,
         seg_edges = []
         lens, cols = process.pairs(vs[:-1], vs[1:])
         for a, b, ln, c in zip(vs, vs[1:], lens.tolist(), cols.tolist()):
-            if ln <= r * (1 + 1e-12) and ledger.claim(c):
+            if ln <= r and c not in used:
+                used.add(c)
                 seg.append(b)
                 seg_edges.append((a, b, c, ln))
             else:
@@ -389,16 +375,15 @@ def build_bad_forests(grid: CellGrid, graph: CellGraph,
 class GoodCycle:
     """Rainbow Hamilton cycle on the unclaimed residents of one good cell."""
 
-    cell: int
     order: list
     edges: list = field(default_factory=list)
 
 
 def build_good_cycles(grid: CellGrid, classification: CellClassification,
-                      process: ColouredProcess, ledger: RainbowLedger,
+                      process: ColouredProcess, used: set,
                       claimed: set, r: float):
     """Stage 4: in each good cell, keep edges whose colour occurs exactly
-    once within the cell and is globally unclaimed, then find a Hamilton
+    once within the cell and is not yet used, then find a Hamilton
     cycle on what remains.  Distinct survivors automatically have distinct
     colours, so the cycle is rainbow.  A cell with fewer than three
     residents left, or without such a cycle, raises StageError("good_cycle").
@@ -412,14 +397,14 @@ def build_good_cycles(grid: CellGrid, classification: CellClassification,
         k = len(vs)
         pa, pb = np.triu_indices(k, 1)
         lens, cols = process.pairs(np.array(vs)[pa], np.array(vs)[pb])
-        near = lens <= r * (1 + 1e-12)
+        near = lens <= r
         cols = cols[near].tolist()
         colour_count = {c: cols.count(c) for c in cols}
         adj = [set() for _ in range(k)]
         usable = {}
         for a, b, c, ln in zip(pa[near].tolist(), pb[near].tolist(), cols,
                                lens[near].tolist()):
-            if colour_count[c] == 1 and c not in ledger.used:
+            if colour_count[c] == 1 and c not in used:
                 adj[a].add(b)
                 adj[b].add(a)
                 usable[(a, b)] = (c, ln)
@@ -432,121 +417,85 @@ def build_good_cycles(grid: CellGrid, classification: CellClassification,
             ai, bi = order_local[t], order_local[(t + 1) % k]
             key = (min(ai, bi), max(ai, bi))
             c, ln = usable[key]
-            ok = ledger.claim(c)
-            assert ok, "survivor colours are unique within a cell"
+            assert c not in used, "survivor colours are unique within a cell"
+            used.add(c)
             edges.append((vs[ai], vs[bi], c, ln))
-        cycles[cell] = GoodCycle(cell=cell, order=[vs[t] for t in order_local],
-                                 edges=edges)
+        cycles[cell] = GoodCycle(order=[vs[t] for t in order_local], edges=edges)
     return cycles
 
 
 # -- Stage 5: choose splice points --------------------------------------------
 
-@dataclass
-class StitchPlan:
-    """All splices to apply at once: cycle merges along a spanning tree of
-    the good cells, plus path insertions.  Splice slots are vertex-disjoint
-    (even-position cycle edges), so simultaneous application is safe."""
-
-    merges: list = field(default_factory=list)
-
-
-def _slot_edges(cycle: GoodCycle):
-    """Even-position edges of the cycle; for odd length the wrap edge is
-    skipped because it shares a vertex with the first slot."""
-    L = len(cycle.order)
-    slots = []
-    for pos in range(0, L, 2):
-        if L % 2 and pos == L - 1:
-            continue
-        slots.append(pos)
-    return slots
-
-
 def build_stitch_plan(graph: CellGraph, classification: CellClassification,
                       cycles: dict, bad_paths, plans,
-                      process: ColouredProcess, ledger: RainbowLedger,
+                      process: ColouredProcess, used: set,
                       r: float, mode: str = "hc"):
     """Stage 5: pick a removed edge and two fresh-coloured bridges for every
     join: good-cell cycle merges along a spanning tree, bad chains into an
     adjacent good cycle, and (cycle mode) ugly paths near their anchor.
 
-    Splice demand concentrates around sparse regions, so the spanning tree
-    grows toward the cell with the most unspent slots, and chains fall back
-    to any adjacent good cell when their first choice is spent.  A join
-    that finds no splice raises StageError("stitch").
+    Returns the list of merges, to be applied all at once.  Splice slots are
+    even-position cycle edges, so no two share a vertex.  Splice demand
+    concentrates around sparse regions, so the spanning tree grows toward
+    the cell with the most unspent slots, and chains fall back to any
+    adjacent good cell when their first choice is spent.  A join that finds
+    no splice raises StageError("stitch").
     """
     good = classification.good
     good_set = set(good)
 
-    free = {cell: _slot_edges(cyc) for cell, cyc in cycles.items()}
-    plan = StitchPlan()
-
-    def bridge_ok(u, v, picked):
-        ln, c = process.pairs(u, v)
-        if ln > r * (1 + 1e-12):
-            return None
-        if c in ledger.used or c in picked:
-            return None
-        return (c, ln)
-
-    def take_pair(u1, v1, u2, v2):
-        """Two bridges with fresh, mutually distinct colours, or None."""
-        first = bridge_ok(u1, v1, set())
-        if first is None:
-            return None
-        second = bridge_ok(u2, v2, {first[0]})
-        if second is None:
-            return None
-        return first, second
+    # for odd length the wrap edge is no slot: it shares a vertex with slot 0
+    free = {cell: list(range(0, len(cyc.order) - 1, 2)) for cell, cyc in cycles.items()}
+    merges = []
 
     def slot_vertices(cell, pos):
         order = cycles[cell].order
         return order[pos], order[(pos + 1) % len(order)]
 
-    def merge_cycles(pc, cc):
-        """Join two cycles through any feasible slot pair; True on success."""
-        for si, ppos in enumerate(free[pc]):
-            a, b = slot_vertices(pc, ppos)
-            for sj, cpos in enumerate(free[cc]):
-                x, y = slot_vertices(cc, cpos)
-                for (u1, v1, u2, v2) in ((a, x, b, y), (a, y, b, x)):
-                    got = take_pair(u1, v1, u2, v2)
-                    if got is None:
-                        continue
-                    (c1, l1), (c2, l2) = got
-                    ledger.claim(c1)
-                    ledger.claim(c2)
-                    plan.merges.append({
-                        "kind": "tree", "parent_cell": pc, "child_cell": cc,
-                        "parent_slot": ppos, "child_slot": cpos,
-                        "added": [(u1, v1, c1, l1), (u2, v2, c2, l2)],
-                    })
-                    del free[pc][si]
-                    del free[cc][sj]
-                    return True
+    def splice(options):
+        """Take the first option (u1, v1, u2, v2, merge) whose bridges u1-v1
+        and u2-v2 are within r and carry two distinct unused colours; True
+        on success.  Bridges are read one option at a time, since the first
+        or second option usually works."""
+        for u1, v1, u2, v2, merge in options:
+            l1, c1 = process.pairs(u1, v1)
+            if l1 > r or c1 in used:
+                continue
+            l2, c2 = process.pairs(u2, v2)
+            if l2 > r or c2 in used or c2 == c1:
+                continue
+            merge["added"] = [(u1, v1, c1, l1), (u2, v2, c2, l2)]
+            used.update((c1, c2))
+            merges.append(merge)
+            free[merge["parent_cell"]].remove(merge["parent_slot"])
+            if merge["kind"] == "tree":
+                free[merge["child_cell"]].remove(merge["child_slot"])
+            return True
         return False
 
+    def merge_cycles(pc, cc):
+        """Options joining two cycles: parent slot x child slot x orientation."""
+        for ppos in free[pc]:
+            a, b = slot_vertices(pc, ppos)
+            for cpos in free[cc]:
+                x, y = slot_vertices(cc, cpos)
+                for u1, v1, u2, v2 in ((a, x, b, y), (a, y, b, x)):
+                    yield u1, v1, u2, v2, {
+                        "kind": "tree", "parent_cell": pc, "child_cell": cc,
+                        "parent_slot": ppos, "child_slot": cpos,
+                    }
+
     def splice_path(cells, head, tail, kind, path_obj):
-        """Insert a path into the first workable cycle among the cells."""
+        """Options inserting a path into a cycle: host cell x slot x
+        orientation, host cells in the order given."""
         for cell in cells:
-            for si, ppos in enumerate(free[cell]):
+            for ppos in free[cell]:
                 a, b = slot_vertices(cell, ppos)
-                for (h, t) in ((head, tail), (tail, head)):
-                    got = take_pair(a, h, t, b)
-                    if got is None:
-                        continue
-                    (c1, l1), (c2, l2) = got
-                    ledger.claim(c1)
-                    ledger.claim(c2)
-                    plan.merges.append({
+                for h, t in ((head, tail), (tail, head)):
+                    yield a, h, t, b, {
                         "kind": kind, "parent_cell": cell,
                         "parent_slot": ppos, "path": path_obj,
-                        "added": [(a, h, c1, l1), (t, b, c2, l2)],
-                    })
-                    del free[cell][si]
-                    return True
-        return False
+                    }
 
     def by_capacity(cells):
         return sorted(cells, key=lambda c: (-len(free.get(c, [])), c))
@@ -572,7 +521,7 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
             raise StageError("stitch", "splice slots exhausted while joining good cells",
                              reached=len(seen), total=len(good))
         _, pc, cc = best
-        if not merge_cycles(pc, cc):
+        if not splice(merge_cycles(pc, cc)):
             raise StageError("stitch", "no splice joining adjacent good cells",
                              parent_cell=pc, child_cell=cc,
                              parent_slots=len(free[pc]), child_slots=len(free[cc]))
@@ -580,7 +529,7 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
 
     for bp in sorted(bad_paths, key=lambda b: (b.parent_cell, b.vertices[0])):
         hosts = by_capacity([c for c in graph.neighbors(bp.cell) if c in good_set])
-        if not splice_path(hosts, bp.vertices[0], bp.vertices[-1], "bad", bp):
+        if not splice(splice_path(hosts, bp.vertices[0], bp.vertices[-1], "bad", bp)):
             raise StageError("stitch", "no splice for bad-cell chain", cell=bp.cell,
                              candidates=hosts[:8])
 
@@ -591,15 +540,15 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
                 raise StageError("stitch", "anchor cell has no cycle", anchor_cell=anchor)
             hosts = [anchor] + by_capacity(
                 [c for c in graph.neighbors(anchor) if c in cycles])
-            if not splice_path(hosts, up.path[0], up.path[-1], "ugly", up):
+            if not splice(splice_path(hosts, up.path[0], up.path[-1], "ugly", up)):
                 raise StageError("stitch", "no splice for ugly path near its anchor",
                                  anchor_cell=anchor, plan_index=pi)
-    return plan
+    return merges
 
 
 # -- Stage 6: apply all splices ------------------------------------------------
 
-def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan, mode: str):
+def apply_stitch(cycles: dict, bad_paths, plans, merges: list, mode: str):
     """Stage 6: remove every chosen slot edge, add the bridges and path
     edges, and read off the final structure.
 
@@ -609,7 +558,7 @@ def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan, mode: str):
     Nothing here checks the structure; build_rainbow validates it.
     """
     removed = set()
-    for mg in plan.merges:
+    for mg in merges:
         removed.add((mg["parent_cell"], mg["parent_slot"]))
         if mg["kind"] == "tree":
             removed.add((mg["child_cell"], mg["child_slot"]))
@@ -621,7 +570,7 @@ def apply_stitch(cycles: dict, bad_paths, plans, plan: StitchPlan, mode: str):
                 edge_list.append(e)
     for bp in bad_paths:
         edge_list.extend(bp.edges)
-    for mg in plan.merges:
+    for mg in merges:
         edge_list.extend(mg["added"])
         if mg["kind"] == "ugly":
             edge_list.extend(mg["path"].edges)
@@ -729,20 +678,20 @@ def _staged(points: PointSet, r: float, mode: str, process: ColouredProcess,
         raise StageError("tessellation", "no dense cells at this scale",
                          dense_threshold=classification.dense_threshold)
 
-    ledger = RainbowLedger()
+    used: set = set()
     plans, claimed = plan_ugly_paths(points, grid, graph, classification, r, mode)
-    colour_ugly_paths(plans, process, ledger, r)
-    bad_paths = build_bad_forests(grid, graph, classification, process, ledger, claimed, r)
-    cycles = build_good_cycles(grid, classification, process, ledger, claimed, r)
-    stitch = build_stitch_plan(graph, classification, cycles, bad_paths, plans,
-                               process, ledger, r, mode)
-    edges = apply_stitch(cycles, bad_paths, plans, stitch, mode)
+    colour_ugly_paths(plans, process, used, r)
+    bad_paths = build_bad_forests(grid, graph, classification, process, used, claimed, r)
+    cycles = build_good_cycles(grid, classification, process, used, claimed, r)
+    merges = build_stitch_plan(graph, classification, cycles, bad_paths, plans,
+                               process, used, r, mode)
+    edges = apply_stitch(cycles, bad_paths, plans, merges, mode)
     meta = {
         "stages": {
             "ugly_paths": len(plans),
             "bad_chains": len(bad_paths),
             "good_cycles": len(cycles),
-            "splices": len(stitch.merges),
+            "splices": len(merges),
         },
         "cells_per_axis": grid.m,
         "good_cells": len(classification.good),

@@ -225,6 +225,8 @@ class ExperimentConfig:
             if n < least:
                 raise ValueError(f"experiment kind {self.kind!r} needs n >= {least}, "
                                  f"got n = {n}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass

@@ -201,7 +201,7 @@ def rainbow_witness_at(process, r: float, target: str = "hc"):
     refuses radii beyond the build cutoff."""
     if target not in ("hc", "pm"):
         raise ValueError("target must be 'hc' or 'pm'")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     if r > process.cutoff * (1 + 1e-12):
         raise ValueError(f"radius {r} exceeds build cutoff {process.cutoff}")

@@ -160,7 +160,7 @@ def build_process(points: PointSet, cutoff: float, K: float | None = None,
     exactly ``n_colours`` when that is passed instead.  Events are sorted by
     (length, i, j); a cutoff beyond the cube diameter is clamped.
     """
-    if cutoff < 0:
+    if not cutoff >= 0:
         raise ValueError("cutoff must be nonnegative")
     n = points.n
     if n_colours is None:

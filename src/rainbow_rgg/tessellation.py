@@ -284,10 +284,11 @@ class DiagnosticsReport:
         return json.dumps(json_safe(self.checks), sort_keys=True)
 
 
-def _component_linf_diameter(cells, grid: CellGrid) -> float:
-    multis = grid.coords(cells)
-    spans = multis.max(axis=0) - multis.min(axis=0) + 1
-    return float(spans.max() * grid.side)
+def _member_coords(comps, grid: CellGrid):
+    """Multi-indices of all members of the (non-empty) components, one row
+    per member, and the index of its component for each row."""
+    label = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
+    return grid.coords(np.concatenate(comps)), label
 
 
 def _ugly_separation(classification: CellClassification, A: float) -> float:
@@ -375,15 +376,15 @@ def _sparse_boundary_sets(classification: CellClassification, A: float, ell: int
     power.discard((0,) * d)
     indptr, indices = _stencil_rows(grid.m, d, power)
     lim = A * grid.r0
-    for comp in _components(sparse, indptr, indices):
-        # facets of the cube within A r0 of a member, lower and upper per axis
-        xy = grid.coords(comp)
-        facets = ((xy * grid.side <= lim).sum(axis=1)
-                  + ((grid.m - xy - 1) * grid.side <= lim).sum(axis=1))
-        top_facets = int(facets.max())
-        for i in range(min(top_facets, d) + 1):
-            sizes[i] = max(sizes[i], len(comp))
-    return sizes, bounds
+    comps = _components(sparse, indptr, indices)
+    xy, label = _member_coords(comps, grid)
+    # facets of the cube within A r0 of a member, lower and upper per axis
+    facets = ((xy * grid.side <= lim).sum(axis=1)
+              + ((grid.m - xy - 1) * grid.side <= lim).sum(axis=1))
+    top_facets = np.zeros(len(comps), dtype=np.int64)
+    np.maximum.at(top_facets, label, facets)
+    lens = np.bincount(label)
+    return [int(lens[top_facets >= i].max(initial=0)) for i in range(d + 1)], bounds
 
 
 def diagnostics(grid: CellGrid, graph: CellGraph, classification: CellClassification,
@@ -414,8 +415,14 @@ def diagnostics(grid: CellGrid, graph: CellGraph, classification: CellClassifica
 
     diam_bound = 4 * grid.d ** 2 * grid.side
     worst = 0.0
-    for comp in classification.ugly_components:
-        worst = max(worst, _component_linf_diameter(comp, grid))
+    comps = classification.ugly_components
+    if comps:
+        xy, label = _member_coords(comps, grid)
+        lo = np.full((len(comps), grid.d), grid.m)
+        hi = np.full((len(comps), grid.d), -1)
+        np.minimum.at(lo, label, xy)
+        np.maximum.at(hi, label, xy)
+        worst = float((hi - lo + 1).max() * grid.side)
     checks["ugly_component_diameter"] = {
         "passed": worst <= diam_bound,
         "measured": {"max_linf_diameter": worst, "bound": diam_bound,

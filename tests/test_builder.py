@@ -16,7 +16,6 @@ from pytest import approx
 
 from rainbow_rgg import (
     BuildFailure,
-    RainbowLedger,
     build_cell_graph,
     build_grid,
     build_process,
@@ -165,6 +164,16 @@ def test_input_validation():
         build_rainbow(ps, 0.5, mode="tour")
 
 
+@pytest.mark.parametrize("r", [-0.5, math.nan])
+@pytest.mark.parametrize("n", [8, 200])
+def test_build_refuses_negative_or_nan_radius(n, r):
+    """Oracle-sized and staged builds both refuse a radius that is not
+    nonnegative, as build_process does."""
+    ps = sample_points(n, 2, seed=4)
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        build_rainbow(ps, r, mode="hc")
+
+
 def test_uniform_bench_scale_fails_in_tessellation():
     """Uniform points above the oracle limit: the default calibration is
     degenerate at this size and the failure says so."""
@@ -225,21 +234,21 @@ def test_plan_ugly_paths_matching_mode(ring_cloud):
 def test_colour_ugly_paths_claims_distinct(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, K=20.0, colour_seed=5)
-    ledger = RainbowLedger()
+    used = set()
     plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
-    got = colour_ugly_paths(plans, proc, ledger, RADIUS)
+    got = colour_ugly_paths(plans, proc, used, RADIUS)
     cols = [c for plan in got for (_, _, c, _) in plan.edges]
     assert len(set(cols)) == len(cols)
-    assert set(cols) == ledger.used
+    assert set(cols) == used
 
 
 def test_colour_ugly_paths_collision(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, n_colours=1)
-    ledger = RainbowLedger()
+    used = set()
     plans, _ = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
     with pytest.raises(StageError) as err:
-        colour_ugly_paths(plans, proc, ledger, RADIUS)
+        colour_ugly_paths(plans, proc, used, RADIUS)
     assert err.value.stage == "ugly_colour"
     assert err.value.reason == "colour collision on path edge"
 
@@ -248,7 +257,7 @@ def test_good_cycles_drained_cell_raises(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, n_colours=1)
     with pytest.raises(StageError) as err:
-        build_good_cycles(grid, cls, proc, RainbowLedger(), set(range(ring_cloud.n)), RADIUS)
+        build_good_cycles(grid, cls, proc, set(), set(range(ring_cloud.n)), RADIUS)
     assert (err.value.stage, err.value.reason) == \
         ("good_cycle", "good cell drained below cycle size")
 
@@ -269,8 +278,8 @@ def test_stage_failures_carry_mode(hole_cloud):
 def test_bad_forests_cover_bad_residents(ring_cloud):
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, K=20.0, colour_seed=5)
-    ledger = RainbowLedger()
-    chains = build_bad_forests(grid, graph, cls, proc, ledger, set(), RADIUS)
+    used = set()
+    chains = build_bad_forests(grid, graph, cls, proc, used, set(), RADIUS)
     covered = sorted(v for ch in chains for v in ch.vertices)
     expect = sorted(v for c in cls.bad for v in grid.vertices_in(c).tolist())
     assert covered == expect
@@ -281,7 +290,7 @@ def test_bad_forests_cover_bad_residents(ring_cloud):
         assert len(ch.edges) == len(ch.vertices) - 1
         for (a, b, c, ln) in ch.edges:
             assert ln <= RADIUS + 1e-12
-            assert c in ledger.used
+            assert c in used
 
 
 # -- stage 4: cycles in good cells -------------------------------------------
@@ -289,8 +298,8 @@ def test_bad_forests_cover_bad_residents(ring_cloud):
 def test_good_cycles_one_per_cell(hole_cloud):
     grid, graph, cls = _decompose(hole_cloud)
     proc = build_process(hole_cloud, cutoff=RADIUS, K=20.0, colour_seed=11)
-    ledger = RainbowLedger()
-    cycles = build_good_cycles(grid, cls, proc, ledger, set(), RADIUS)
+    used = set()
+    cycles = build_good_cycles(grid, cls, proc, used, set(), RADIUS)
     assert sorted(cycles) == sorted(cls.good)
     all_cols = []
     for cell, cyc in cycles.items():
@@ -302,18 +311,18 @@ def test_good_cycles_one_per_cell(hole_cloud):
             all_cols.append(c)
     # survivor colours are distinct across the whole structure
     assert len(set(all_cols)) == len(all_cols)
-    assert set(all_cols) <= ledger.used
+    assert set(all_cols) <= used
 
 
 def test_stage_vertex_sets_are_disjoint(ring_cloud):
     """Ugly paths, bad chains and good cycles partition the vertex set."""
     grid, graph, cls = _decompose(ring_cloud)
     proc = build_process(ring_cloud, cutoff=RADIUS, K=20.0, colour_seed=5)
-    ledger = RainbowLedger()
+    used = set()
     plans, claimed = plan_ugly_paths(ring_cloud, grid, graph, cls, RADIUS, mode="hc")
-    plans = colour_ugly_paths(plans, proc, ledger, RADIUS)
-    chains = build_bad_forests(grid, graph, cls, proc, ledger, claimed, RADIUS)
-    cycles = build_good_cycles(grid, cls, proc, ledger, claimed, RADIUS)
+    plans = colour_ugly_paths(plans, proc, used, RADIUS)
+    chains = build_bad_forests(grid, graph, cls, proc, used, claimed, RADIUS)
+    cycles = build_good_cycles(grid, cls, proc, used, claimed, RADIUS)
     groups = [v for p in plans for v in p.path]
     groups += [v for ch in chains for v in ch.vertices]
     groups += [v for cyc in cycles.values() for v in cyc.order]
@@ -325,20 +334,20 @@ def test_stage_vertex_sets_are_disjoint(ring_cloud):
 def _full_stages(cloud, mode, colour_seed):
     grid, graph, cls = _decompose(cloud)
     proc = build_process(cloud, cutoff=RADIUS, K=20.0, colour_seed=colour_seed)
-    ledger = RainbowLedger()
+    used = set()
     plans, claimed = plan_ugly_paths(cloud, grid, graph, cls, RADIUS, mode=mode)
-    plans = colour_ugly_paths(plans, proc, ledger, RADIUS)
-    chains = build_bad_forests(grid, graph, cls, proc, ledger, claimed, RADIUS)
-    cycles = build_good_cycles(grid, cls, proc, ledger, claimed, RADIUS)
+    plans = colour_ugly_paths(plans, proc, used, RADIUS)
+    chains = build_bad_forests(grid, graph, cls, proc, used, claimed, RADIUS)
+    cycles = build_good_cycles(grid, cls, proc, used, claimed, RADIUS)
     stitch = build_stitch_plan(graph, cls, cycles, chains, plans, proc,
-                               ledger, RADIUS, mode=mode)
+                               used, RADIUS, mode=mode)
     return proc, plans, chains, cycles, stitch
 
 
 def test_stitch_plan_uses_fresh_colour_pairs(ring_cloud):
     proc, plans, chains, cycles, stitch = _full_stages(ring_cloud, "hc", 5)
     seen = set()
-    for merge in stitch.merges:
+    for merge in stitch:
         (u1, v1, c1, l1), (u2, v2, c2, l2) = merge["added"]
         assert c1 != c2
         assert c1 not in seen and c2 not in seen
@@ -346,7 +355,7 @@ def test_stitch_plan_uses_fresh_colour_pairs(ring_cloud):
         assert l1 <= RADIUS + 1e-12 and l2 <= RADIUS + 1e-12
         assert proc.colour_of(u1, v1) == c1
         assert proc.colour_of(u2, v2) == c2
-    kinds = {m["kind"] for m in stitch.merges}
+    kinds = {m["kind"] for m in stitch}
     assert kinds == {"tree", "bad", "ugly"}
 
 
@@ -392,9 +401,9 @@ def test_malformed_stitch_fails_verification(ring_cloud, mode, monkeypatch):
     found = []
 
     def dropping(*args, **kwargs):
-        plan = plan_stitch(*args, **kwargs)
-        plan.merges.pop(0)
-        return plan
+        merges = plan_stitch(*args, **kwargs)
+        merges.pop(0)
+        return merges
 
     def recording(cert, process):
         found.append(validate(cert, process))

@@ -191,6 +191,12 @@ def test_config_refuses_n_below_kind_minimum(kind, n, modes, minimum):
         ExperimentConfig(kind=kind, ns=(10, n), trials=1, modes=modes)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_config_refuses_trials_below_one(trials):
+    with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}"):
+        ExperimentConfig(kind="hitting", ns=(10,), trials=trials)
+
+
 def test_config_refuses_unknown_mode():
     with pytest.raises(ValueError, match="modes must be"):
         ExperimentConfig(kind="build", ns=(10,), trials=1, modes=("hc", "tour"))

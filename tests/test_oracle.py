@@ -236,8 +236,9 @@ def test_witness_at_radius():
 def test_witness_at_refuses_radius_outside_build():
     ps = sample_points(8, 2, seed=3)
     proc = build_process(ps, cutoff=0.4, n_colours=16, colour_seed=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        rainbow_witness_at(proc, -0.1, "pm")
+    for r in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rainbow_witness_at(proc, r, "pm")
     with pytest.raises(ValueError, match="exceeds build cutoff"):
         rainbow_witness_at(proc, 0.41, "hc")
     rainbow_witness_at(proc, 0.4, "hc")
