@@ -34,6 +34,7 @@ within the exact oracle's limits are answered by the oracle instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,12 +137,11 @@ class UglyPathPlan:
     """A vertex path covering one ugly component.
 
     ``path`` lists the full vertex sequence.  In cycle mode it starts and
-    and ends at vertices parked in good cells and carries the good cell
-    the path will be spliced into (``anchor_cell``).  In matching mode the
-    path stands alone and only needs an even vertex count.
+    ends at vertices parked in good cells, and ``anchor_cell`` is the good
+    cell the path will be spliced into.  In matching mode the path stands
+    alone and only needs an even vertex count.
     """
 
-    interior: list
     path: list
     anchor_cell: int | None = None
     edges: list = field(default_factory=list)
@@ -151,38 +151,35 @@ class _SpareVertexPool:
     """Hands out unclaimed good-cell vertices under drain limits.
 
     A good cell keeps at least three unclaimed residents (its own cycle
-    needs them) and gives up at most two vertices overall.
+    needs them) and gives up at most two vertices overall.  ``take`` is the
+    one search: parked path ends and corridor picks are both claimed
+    through it.
     """
 
-    def __init__(self, grid: CellGrid, classification: CellClassification,
-                 claimed: set, coords: np.ndarray):
+    def __init__(self, points: PointSet, grid: CellGrid,
+                 classification: CellClassification, claimed: set):
+        self.points = points
         self.grid = grid
         self.claimed = claimed
-        self.coords = coords
         self.good_set = set(classification.good)
         self.drains = {}
 
-    def unclaimed_in(self, cell: int) -> list:
-        return [v for v in self.grid.vertices_in(cell).tolist() if v not in self.claimed]
-
-    def can_drain(self, cell: int) -> bool:
-        if self.drains.get(cell, 0) >= 2:
-            return False
-        return len(self.unclaimed_in(cell)) > 3
-
-    def claim(self, v: int, cell: int) -> int:
-        self.claimed.add(v)
-        self.drains[cell] = self.drains.get(cell, 0) + 1
-        return v
-
-    def take(self, cell: int, prefer) -> int | None:
-        """Claim the spare vertex of the cell closest to the point
-        ``prefer`` (ties to the smaller index), or None."""
-        if not self.can_drain(cell):
-            return None
-        cand = self.unclaimed_in(cell)
-        k = int(np.argmin(lp_lengths(np.abs(self.coords[cand] - prefer), self.grid.p)))
-        return self.claim(cand[k], cell)
+    def take(self, cands, point, reach=math.inf):
+        """Claim the first candidate within ``reach`` of ``point``, nearest
+        first and ties in candidate order, that is unclaimed and lies in a
+        good cell that can spare it; (vertex, cell), or None."""
+        dist = lp_lengths(np.abs(self.points.points[cands] - point), self.points.p)
+        near = np.nonzero(dist <= reach)[0]
+        for v in cands[near[np.argsort(dist[near], kind="stable")]].tolist():
+            cell = int(self.grid.cell_of_vertex[v])
+            if (v in self.claimed or cell not in self.good_set
+                    or self.drains.get(cell, 0) >= 2):
+                continue
+            if sum(u not in self.claimed for u in self.grid.vertices_in(cell).tolist()) > 3:
+                self.claimed.add(v)
+                self.drains[cell] = self.drains.get(cell, 0) + 1
+                return v, cell
+        return None
 
 
 def _geom_adjacency(vertices, points: PointSet, r: float):
@@ -201,25 +198,25 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
     """Stage 1: plan a path through every inhabited ugly component.
 
     Returns (plans, claimed); raises StageError("ugly_plan") when a
-    component has no path or an end no parking place.  Claimed vertices
-    (path interiors, parked endpoints, corridor picks) are excluded from
-    all later stages.
+    component has no path or an end no parking place.  Path ends are parked
+    on the nearest spare good-cell vertex within r, and a corridor takes
+    the spare vertex of each of its cells nearest the previous pick; both
+    go through one _SpareVertexPool.take search.  Claimed vertices (path
+    interiors, parked endpoints, corridor picks) are excluded from all
+    later stages.
     """
     claimed: set = set()
-    pool = _SpareVertexPool(grid, classification, claimed, points.points)
+    pool = _SpareVertexPool(points, grid, classification, claimed)
+    everyone = np.arange(points.n)
     plans = []
 
-    def park(endpoint):
-        """Claim the nearest spare good-cell vertex within r of the
-        endpoint, ties to the smaller index; (vertex, cell), or None when
-        there is none."""
-        dist = lp_lengths(np.abs(points.points - points.points[endpoint]), points.p)
-        near = np.nonzero(dist <= r)[0]
-        for v in near[np.argsort(dist[near], kind="stable")].tolist():
-            cell = int(grid.cell_of_vertex[v])
-            if v not in claimed and cell in pool.good_set and pool.can_drain(cell):
-                return pool.claim(v, cell), cell
-        return None
+    def park(endpoint, reason):
+        """Claim a spare good-cell vertex within r of the endpoint;
+        (vertex, cell).  None there fails the current component."""
+        took = pool.take(everyone, points.points[endpoint], r)
+        if took is None:
+            raise StageError("ugly_plan", reason, component_cells=comp, endpoint=endpoint)
+        return took
 
     for comp in classification.ugly_components:
         vertices = sorted(v for c in comp for v in grid.vertices_in(c).tolist()
@@ -231,35 +228,20 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
         if order is None:
             raise StageError("ugly_plan", "no spanning path through ugly component",
                              component_cells=comp, vertices=len(vertices))
-        interior = [vertices[t] for t in order]
-        for v in interior:
-            claimed.add(v)
+        path = [vertices[t] for t in order]
+        claimed.update(path)
 
         if mode == "pm":
-            path = list(interior)
             if len(path) % 2:
-                took = park(path[-1])
-                if took is None:
-                    raise StageError("ugly_plan", "no parking vertex to even out path",
-                                     component_cells=comp, endpoint=path[-1])
-                path.append(took[0])
-            plans.append(UglyPathPlan(interior=interior, path=path))
+                path.append(park(path[-1], "no parking vertex to even out path")[0])
+            plans.append(UglyPathPlan(path=path))
             continue
 
         # cycle mode: park both ends in good cells, then make sure both end
         # cells share a splice anchor, extending through good cells if not
-        head = park(interior[0])
-        if head is None:
-            raise StageError("ugly_plan", "no parking vertex near path head",
-                             component_cells=comp, endpoint=interior[0])
-        tail = park(interior[-1])
-        if tail is None:
-            raise StageError("ugly_plan", "no parking vertex near path tail",
-                             component_cells=comp, endpoint=interior[-1])
-        (head, head_cell), (tail, tail_cell) = head, tail
-
-        path = [head] + interior + [tail]
-        anchor = head_cell
+        head, head_cell = park(path[0], "no parking vertex near path head")
+        tail, tail_cell = park(path[-1], "no parking vertex near path tail")
+        path = [head] + path + [tail]
         if not (tail_cell == head_cell or tail_cell in graph.neighbors(head_cell)):
             # corridor: the shortest walk over good cells from the tail cell
             # to the head cell or a good neighbour of it, one vertex per cell;
@@ -280,15 +262,13 @@ def plan_ugly_paths(points: PointSet, grid: CellGrid, graph: CellGraph,
                 cells.append(good[goal])
                 goal = prev[goal]
             cells.reverse()
-            cur = tail
             for cell in cells:
-                v = pool.take(cell, prefer=points.points[cur])
-                if v is None:
+                took = pool.take(grid.vertices_in(cell), points.points[path[-1]])
+                if took is None:
                     raise StageError("ugly_plan", "corridor cell has no spare vertex",
                                      component_cells=comp, cell=cell)
-                path.append(v)
-                cur = v
-        plans.append(UglyPathPlan(interior=interior, path=path, anchor_cell=anchor))
+                path.append(took[0])
+        plans.append(UglyPathPlan(path=path, anchor_cell=head_cell))
     return plans, claimed
 
 
@@ -504,23 +484,14 @@ def build_stitch_plan(graph: CellGraph, classification: CellClassification,
     good_nbs = {c: [nb for nb in graph.neighbors(c) if nb in good_set] for c in good}
     seen = {good[0]}
     while len(seen) < len(good):
-        best = None
-        for pc in seen:
-            if not free[pc]:
-                continue
-            for nb in good_nbs[pc]:
-                if nb not in seen:
-                    key = (len(free[pc]), -pc, -nb)
-                    if best is None or key > best[0]:
-                        best = (key, pc, nb)
-        if best is None:
-            reachable = any(nb not in seen for pc in seen for nb in good_nbs[pc])
-            if not reachable:
-                raise StageError("stitch", "good cells are not connected",
-                                 reached=len(seen), total=len(good))
+        frontier = [(pc, nb) for pc in seen for nb in good_nbs[pc] if nb not in seen]
+        if not frontier:
+            raise StageError("stitch", "good cells are not connected",
+                             reached=len(seen), total=len(good))
+        pc, cc = max(frontier, key=lambda e: (len(free[e[0]]), -e[0], -e[1]))
+        if not free[pc]:
             raise StageError("stitch", "splice slots exhausted while joining good cells",
                              reached=len(seen), total=len(good))
-        _, pc, cc = best
         if not splice(merge_cycles(pc, cc)):
             raise StageError("stitch", "no splice joining adjacent good cells",
                              parent_cell=pc, child_cell=cc,

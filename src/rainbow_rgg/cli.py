@@ -235,8 +235,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one subcommand.  Input the library refuses (a ValueError) is a
+    usage error, as a bad flag is: argparse's usage and error lines on
+    stderr, exit code 2, no traceback."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

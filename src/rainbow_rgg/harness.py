@@ -216,7 +216,9 @@ class ExperimentConfig:
         self.ns = tuple(int(x) for x in self.ns)
         self.modes = tuple(self.modes)
         self.alphas = tuple(float(a) for a in self.alphas)
-        if not set(self.modes) <= {"hc", "pm"}:
+        if not self.ns:
+            raise ValueError("ns must name at least one size")
+        if not set(self.modes) <= {"hc", "pm"} or (self.kind == "build" and not self.modes):
             raise ValueError(f"modes must be 'hc' or 'pm', got {self.modes!r}")
         # a min-degree-2 radius (hitting, lawcheck, an hc build) needs a
         # second neighbour; a pm build needs one

@@ -93,9 +93,7 @@ def pair_colours(colour_seed: int, i, j, n: int, n_colours: int) -> np.ndarray:
 class ColouredProcess:
     """Edge events up to a cutoff radius, sorted by (length, i, j).
 
-    Arrays ei, ej, elen, ecol are parallel; ei < ej always.  ``clamped``
-    records whether the requested cutoff exceeded the cube diameter and was
-    clamped down to it (the event list is then the complete graph).
+    Arrays ei, ej, elen, ecol are parallel; ei < ej always.
     """
 
     points: PointSet
@@ -106,7 +104,6 @@ class ColouredProcess:
     ej: np.ndarray
     elen: np.ndarray
     ecol: np.ndarray
-    clamped: bool = False
 
     @property
     def n(self) -> int:
@@ -174,10 +171,7 @@ def build_process(points: PointSet, cutoff: float, K: float | None = None,
     if n_colours < 1:
         raise ValueError("need at least one colour")
 
-    diam = cube_diameter(points.dim, points.p)
-    clamped = cutoff > diam
-    if clamped:
-        cutoff = diam
+    cutoff = min(cutoff, cube_diameter(points.dim, points.p))
 
     ei, ej, elen = _pairs_within(points.points, cutoff, points.p)
     order = np.argsort(ei * n + ej)  # (i, j) order, then stably by length
@@ -187,7 +181,7 @@ def build_process(points: PointSet, cutoff: float, K: float | None = None,
 
     return ColouredProcess(points=points, cutoff=float(cutoff), n_colours=int(n_colours),
                            colour_seed=int(colour_seed), ei=ei, ej=ej, elen=elen,
-                           ecol=ecol, clamped=clamped)
+                           ecol=ecol)
 
 
 def hitting_radius_min_degree(process: ColouredProcess, k):

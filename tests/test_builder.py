@@ -211,7 +211,6 @@ def test_plan_ugly_paths_cycle_mode(ring_cloud):
     plan = plans[0]
     assert plan.anchor_cell in set(cls.good)
     assert len(set(plan.path)) == len(plan.path)
-    assert set(plan.interior) <= set(plan.path)
     assert set(plan.path) <= claimed
     # consecutive hops stay within the build radius
     pts = ring_cloud.points
@@ -423,19 +422,35 @@ def test_malformed_stitch_fails_verification(ring_cloud, mode, monkeypatch):
 def test_spare_pool_keeps_cells_viable(hole_cloud):
     grid, graph, cls = _decompose(hole_cloud)
     claimed = set()
-    pool = _SpareVertexPool(grid, cls, claimed, hole_cloud.points)
+    pool = _SpareVertexPool(hole_cloud, grid, cls, claimed)
     cell = cls.good[0]
-    start = len(pool.unclaimed_in(cell))
+    residents = grid.vertices_in(cell)
     taken = []
     while True:
-        v = pool.take(cell, hole_cloud.points[0])
-        if v is None:
+        got = pool.take(residents, hole_cloud.points[0])
+        if got is None:
             break
-        taken.append(v)
-    # never below 3 unclaimed, never more than 2 drains
+        assert got[1] == cell
+        taken.append(got[0])
+    # nearest first; never below 3 unclaimed, never more than 2 drains
+    dist = np.linalg.norm(hole_cloud.points[residents] - hole_cloud.points[0], axis=1)
+    assert taken == residents[np.argsort(dist, kind="stable")][:len(taken)].tolist()
     assert len(taken) <= 2
-    assert start - len(taken) >= 3
+    assert len(residents) - len(taken) >= 3
     assert all(v in claimed for v in taken)
+
+
+@pytest.mark.parametrize("unclaimed, takes", [(4, 1), (3, 0)])
+def test_spare_pool_keeps_three_unclaimed(hole_cloud, unclaimed, takes):
+    """A cell gives a vertex only while it has more than three unclaimed
+    residents, whoever claimed the others."""
+    grid, graph, cls = _decompose(hole_cloud)
+    cell = cls.good[0]
+    residents = grid.vertices_in(cell)
+    assert len(residents) > unclaimed
+    pool = _SpareVertexPool(hole_cloud, grid, cls, set(residents[unclaimed:].tolist()))
+    got = [pool.take(residents, hole_cloud.points[residents[0]]) for _ in range(3)]
+    assert sum(g is not None for g in got) == takes
 
 
 # -- certificates ------------------------------------------------------
@@ -491,9 +506,9 @@ def test_build_outputs_pinned(monkeypatch):
     corridors = []
     take = _SpareVertexPool.take
 
-    def recording(pool, cell, prefer=None):
-        corridors.append(prefer is not None)
-        return take(pool, cell, prefer=prefer)
+    def recording(pool, cands, point, reach=math.inf):
+        corridors.append(reach == math.inf)
+        return take(pool, cands, point, reach)
 
     monkeypatch.setattr(_SpareVertexPool, "take", recording)
     texts, outcomes = [], set()

@@ -188,3 +188,24 @@ def test_missing_required_input_errors():
         main(["build"])
     with pytest.raises(SystemExit):
         main(["oracle"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", "0"], "need n >= 1"),
+    (["build", "--n", "200", "--radius", "nan"], "cutoff must be nonnegative"),
+    (["oracle", "--n", "30", "--target", "hc"], "instance has 30 > 14 vertices"),
+    (["lawcheck", "--n", "200", "--trials", "0"], "trials must be at least 1, got 0"),
+    (["experiment", "--kind", "hitting", "--ns", ",", "--trials", "2"],
+     "ns must name at least one size"),
+    (["experiment", "--kind", "build", "--ns", "30", "--trials", "1", "--modes", ","],
+     "modes must be 'hc' or 'pm', got ()"),
+])
+def test_refused_input_is_a_usage_error(argv, message, capsys):
+    """Input the library refuses exits 2 with one argparse error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"rainbow-rgg: error: {message}"
+    assert "Traceback" not in captured.err

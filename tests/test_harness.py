@@ -202,6 +202,16 @@ def test_config_refuses_unknown_mode():
         ExperimentConfig(kind="build", ns=(10,), trials=1, modes=("hc", "tour"))
 
 
+def test_config_refuses_empty_sizes():
+    with pytest.raises(ValueError, match="ns must name"):
+        ExperimentConfig(kind="hitting", ns=(), trials=1)
+
+
+def test_config_refuses_build_without_modes():
+    with pytest.raises(ValueError, match="modes must be"):
+        ExperimentConfig(kind="build", ns=(30,), trials=1, modes=())
+
+
 @pytest.mark.parametrize("kind, n, modes", [
     ("build", 2, ("pm",)),
     ("hitting", 3, ("hc", "pm")),

@@ -153,7 +153,6 @@ def test_kd_enumeration_matches_brute_force(p, d, cutoff):
     assert np.array_equal(proc.ei, ii[order])
     assert np.array_equal(proc.ej, jj[order])
     assert np.array_equal(proc.elen, ll[order])
-    assert proc.clamped == (cutoff > diam)
     assert proc.cutoff == min(cutoff, diam)
     if cutoff == 0.0:
         assert proc.m == 4
