@@ -2,8 +2,10 @@
 
 Subcommands: simulate, hitting, build, oracle, experiment, lawcheck.
 Every subcommand accepts --seed and --out; results go to stdout unless
---out names a file (experiment writes <out>.csv and <out>.json).  The two
-that run many trials, experiment and lawcheck, also take --threads.
+--out names a file (experiment writes <out>.csv and <out>.json).  All but
+lawcheck share --d, --p (default 2) and --K; lawcheck takes --d and --p
+(default inf).  The two that run many trials, experiment and lawcheck, also
+take --threads.  build and oracle need exactly one input source.
 """
 
 from __future__ import annotations
@@ -43,64 +45,55 @@ def _emit(text: str, out: str | None):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common()
+    # the point-set and colour flags of every subcommand but lawcheck
+    instance = argparse.ArgumentParser(add_help=False, parents=[common])
+    instance.add_argument("--d", type=int, default=2)
+    instance.add_argument("--p", type=_norm, default=2.0)
+    instance.add_argument("--K", type=float, default=20.0, help="colours per vertex")
     top = argparse.ArgumentParser(prog="rainbow-rgg",
                                   description="Coloured random geometric graph toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("simulate", parents=[common],
+    ps = sub.add_parser("simulate", parents=[instance],
                         help="sample points and list the coloured edge events")
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--d", type=int, default=2)
-    ps.add_argument("--p", type=_norm, default=2.0)
-    ps.add_argument("--K", type=float, default=20.0, help="colours per vertex")
     ps.add_argument("--colours", type=int, default=None, help="exact colour count (overrides --K)")
     ps.add_argument("--cutoff", type=float, default=None, help="largest edge length to reveal")
     ps.add_argument("--points-out", type=str, default=None, help="also save the point set here")
 
-    ph = sub.add_parser("hitting", parents=[common],
+    ph = sub.add_parser("hitting", parents=[instance],
                         help="hitting radii for degree, connectivity and rainbow properties")
     ph.add_argument("--n", type=int, required=True)
-    ph.add_argument("--d", type=int, default=2)
-    ph.add_argument("--p", type=_norm, default=2.0)
-    ph.add_argument("--K", type=float, default=20.0)
     ph.add_argument("--no-kconn", action="store_true", help="skip connectivity radii")
     ph.add_argument("--rainbow", action="store_true",
                     help="include exact rainbow hitting radii (small n only)")
 
-    pb = sub.add_parser("build", parents=[common],
+    pb = sub.add_parser("build", parents=[instance],
                         help="run the staged rainbow builder and print the certificate")
-    pb.add_argument("--n", type=int, default=None)
-    pb.add_argument("--points-file", type=str, default=None,
-                    help="load points instead of sampling")
-    pb.add_argument("--d", type=int, default=2)
-    pb.add_argument("--p", type=_norm, default=2.0)
-    pb.add_argument("--K", type=float, default=20.0)
+    source = pb.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="sample this many points")
+    source.add_argument("--points-file", type=str, help="load points instead of sampling")
     pb.add_argument("--epsilon", type=float, default=0.1)
     pb.add_argument("--mode", choices=("hc", "pm"), default="hc")
     pb.add_argument("--radius", type=float, default=None,
                     help="target radius (default: min-degree hitting radius for the mode)")
 
-    po = sub.add_parser("oracle", parents=[common],
+    po = sub.add_parser("oracle", parents=[instance],
                         help="exact search on a small instance or coloured process")
-    po.add_argument("--instance", type=str, default=None,
-                    help="instance file: 'n m' header then 'i j colour [length]' rows")
-    po.add_argument("--n", type=int, default=None, help="sample a process instead")
-    po.add_argument("--d", type=int, default=2)
-    po.add_argument("--p", type=_norm, default=2.0)
+    source = po.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", type=str,
+                        help="instance file: 'n m' header then 'i j colour [length]' rows")
+    source.add_argument("--n", type=int, help="sample a process instead")
     po.add_argument("--colours", type=int, default=None)
-    po.add_argument("--K", type=float, default=20.0)
     po.add_argument("--target", choices=("hc", "pm"), default="hc")
     po.add_argument("--hitting", action="store_true",
                     help="report the exact rainbow hitting radius (process input only)")
 
-    pe = sub.add_parser("experiment", parents=[common],
+    pe = sub.add_parser("experiment", parents=[instance],
                         help="Monte Carlo experiment over several sizes")
     pe.add_argument("--kind", choices=("hitting", "build"), required=True)
     pe.add_argument("--ns", type=str, required=True, help="comma-separated sizes")
     pe.add_argument("--trials", type=int, required=True)
-    pe.add_argument("--d", type=int, default=2)
-    pe.add_argument("--p", type=_norm, default=2.0)
-    pe.add_argument("--K", type=float, default=20.0)
     pe.add_argument("--epsilon", type=float, default=0.1)
     pe.add_argument("--modes", type=str, default="hc,pm")
     pe.add_argument("--rainbow", action="store_true")
@@ -121,7 +114,7 @@ def _cmd_simulate(args) -> int:
     pts = sample_points(args.n, args.d, args.seed, args.p)
     cutoff = args.cutoff if args.cutoff is not None else cube_diameter(args.d, args.p)
     proc = build_process(pts, cutoff=cutoff,
-                         K=None if args.colours else args.K,
+                         K=None if args.colours is not None else args.K,
                          n_colours=args.colours, colour_seed=args.seed + 1)
     if args.points_out:
         save_points(args.points_out, pts)
@@ -139,12 +132,10 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if args.points_file:
+    if args.points_file is not None:
         pts = load_points(args.points_file)
-    elif args.n is not None:
-        pts = sample_points(args.n, args.d, args.seed, args.p)
     else:
-        raise SystemExit("build needs --n or --points-file")
+        pts = sample_points(args.n, args.d, args.seed, args.p)
     radius = args.radius
     if radius is None:
         radius = _harness.max_knn_distance(pts, 2 if args.mode == "hc" else 1)
@@ -155,7 +146,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.instance:
+    if args.instance is not None:
+        if args.hitting:
+            raise ValueError("--hitting needs a sampled process (--n), not --instance")
         with open(args.instance) as fh:
             inst = _oracle.instance_from_text(fh.read())
         if args.target == "hc":
@@ -166,11 +159,9 @@ def _cmd_oracle(args) -> int:
                    "witness": [[i + 1, j + 1, c] for (i, j, c) in witness] if witness else None}
         _emit(json.dumps(payload, sort_keys=True), args.out)
         return 0 if witness is not None else 1
-    if args.n is None:
-        raise SystemExit("oracle needs --instance or --n")
     pts = sample_points(args.n, args.d, args.seed, args.p)
     proc = build_process(pts, cutoff=cube_diameter(args.d, args.p),
-                         K=None if args.colours else args.K,
+                         K=None if args.colours is not None else args.K,
                          n_colours=args.colours, colour_seed=args.seed + 1)
     if args.hitting:
         radius, witness = _oracle.exact_hitting_rainbow(proc, args.target)

@@ -1,10 +1,11 @@
 """Hamilton path and cycle search on small graphs.
 
 Two engines: an exact bitmask dynamic program, complete but exponential,
-for graphs up to ~14 vertices, and a deterministic rotation-extension
-heuristic for larger ones.  The heuristic is incomplete (it can miss an
-existing cycle) but on the dense survivor graphs produced inside cells it
-essentially always lands; callers treat None as a stage failure.
+used up to ``EXACT_LIMIT`` vertices, and above it one deterministic
+rotation-extension attempt (Posa) from vertex 0.  The attempt is
+incomplete (it can miss an existing path or cycle) but on the dense
+survivor graphs produced inside cells it essentially always lands, and its
+work is bounded by one search; callers treat None as a stage failure.
 
 Vertices are 0..n-1, adjacency is a sequence of int collections.  All
 choices are made in ascending vertex order, so results are reproducible.
@@ -78,7 +79,7 @@ def _unwind(n, parent, ends) -> list | None:
 
 def exact_hamilton_path(n, adj) -> list | None:
     """Complete search for a Hamilton path with free endpoints."""
-    if n == 0:
+    if n <= 0:
         return None
     if n == 1:
         return [0]
@@ -96,10 +97,10 @@ def exact_hamilton_cycle(n, adj) -> list | None:
     return _unwind(n, parent, ends & close & ~1)
 
 
-def _posa_path(n, adj, start) -> list | None:
-    """Rotation-extension from a fixed start; ascending-index choices."""
-    path = [start]
-    in_path = {start}
+def _posa_path(n, adj) -> list | None:
+    """Rotation-extension from vertex 0; ascending-index choices."""
+    path = [0]
+    in_path = {0}
     while len(path) < n:
         u = path[-1]
         ext = None
@@ -153,35 +154,19 @@ def _close_cycle(path, adj) -> list | None:
 
 
 def hamilton_path(n, adj) -> list | None:
-    """Hamilton path with free endpoints; exact up to ``EXACT_LIMIT``
-    vertices."""
-    if n <= 0:
-        return None
-    if n == 1:
-        return [0]
+    """Hamilton path with free endpoints: exact up to ``EXACT_LIMIT``
+    vertices, one rotation-extension attempt from vertex 0 above it."""
     if n <= EXACT_LIMIT:
         return exact_hamilton_path(n, adj)
-    adj = _as_sets(n, adj)
-    for start in range(n):
-        got = _posa_path(n, adj, start)
-        if got is not None:
-            return got
-    return None
+    return _posa_path(n, _as_sets(n, adj))
 
 
 def hamilton_cycle(n, adj) -> list | None:
-    """Hamilton cycle as a vertex order (closing edge implied); exact up to
-    ``EXACT_LIMIT`` vertices, rotation-extension with closing above it."""
-    if n < 3:
-        return None
+    """Hamilton cycle as a vertex order (closing edge implied): exact up to
+    ``EXACT_LIMIT`` vertices, above it the one rotation-extension path from
+    vertex 0, closed by at most one rotation."""
     if n <= EXACT_LIMIT:
         return exact_hamilton_cycle(n, adj)
     adj = _as_sets(n, adj)
-    for start in range(n):
-        path = _posa_path(n, adj, start)
-        if path is None:
-            continue
-        closed = _close_cycle(path, adj)
-        if closed is not None:
-            return closed
-    return None
+    path = _posa_path(n, adj)
+    return None if path is None else _close_cycle(path, adj)

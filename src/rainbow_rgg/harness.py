@@ -229,6 +229,8 @@ class ExperimentConfig:
                                  f"got n = {n}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -413,13 +413,7 @@ def compute_hitting_radii(process: ColouredProcess,
 
 
 def hitting_radii_to_json(hr: HittingRadii) -> str:
-    payload = {
-        "min_degree": {str(k): v for k, v in sorted(hr.min_degree.items())},
-        "kconn": {str(k): v for k, v in sorted(hr.kconn.items())},
-        "rainbow_hc": hr.rainbow_hc,
-        "rainbow_pm": hr.rainbow_pm,
-    }
-    return json.dumps(json_safe(payload), sort_keys=True)
+    return json.dumps(json_safe(asdict(hr)), sort_keys=True)
 
 
 def events_csv_text(process: ColouredProcess) -> str:

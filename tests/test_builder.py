@@ -534,3 +534,20 @@ def test_build_outputs_pinned(monkeypatch):
     assert any(corridors)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == PINNED_OUTPUTS_SHA256
+
+
+# Failure of a uniform n = 1000 hc build whose one ugly component holds 997
+# vertices and no path the search finds.  A search that retried from every
+# start vertex took about a minute here to report the same failure.
+PINNED_UGLY_FAILURE_SHA256 = "35f5d7e6273bb48310ee12d7bf36e8dbf72af06f5671e17ed3e2f720b6d42fce"
+
+
+def test_large_ugly_component_fails_fast():
+    pts = sample_points(1000, 2, 2, 2.0)
+    text = build_rainbow(pts, max_knn_distance(pts, 2), mode="hc", epsilon=0.015,
+                         K=20.0, colour_seed=2).to_json()
+    raw = json.loads(text)
+    assert raw["failed_stage"] == "ugly_plan"
+    assert raw["reason"] == "no spanning path through ugly component"
+    assert raw["details"]["vertices"] == 997
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_UGLY_FAILURE_SHA256

@@ -183,11 +183,31 @@ def test_lawcheck_summary(tmp_path):
     assert (tmp_path / "law.json.csv").exists()
 
 
-def test_missing_required_input_errors():
-    with pytest.raises(SystemExit):
-        main(["build"])
-    with pytest.raises(SystemExit):
-        main(["oracle"])
+def test_missing_required_input_errors(tmp_path, capsys):
+    """build and oracle take exactly one input source, and --hitting needs
+    a sampled one: anything else is a usage error."""
+    inst = tmp_path / "inst.txt"
+    inst.write_text("3 3\n1 2 1\n2 3 2\n1 3 3\n")
+    pts = tmp_path / "pts.csv"
+    main(["simulate", "--n", "12", "--cutoff", "0.1", "--out", str(tmp_path / "ev.csv"),
+          "--points-out", str(pts)])
+    capsys.readouterr()
+    for argv, message in (
+            (["build"], "one of the arguments --n --points-file is required"),
+            (["oracle"], "one of the arguments --instance --n is required"),
+            (["build", "--points-file", str(pts), "--n", "500"],
+             "argument --n: not allowed with argument --points-file"),
+            (["oracle", "--instance", str(inst), "--n", "9"],
+             "argument --n: not allowed with argument --instance"),
+            (["oracle", "--instance", str(inst), "--hitting"],
+             "--hitting needs a sampled process (--n), not --instance")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f": error: {message}")
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -199,6 +219,9 @@ def test_missing_required_input_errors():
      "ns must name at least one size"),
     (["experiment", "--kind", "build", "--ns", "30", "--trials", "1", "--modes", ","],
      "modes must be 'hc' or 'pm', got ()"),
+    (["experiment", "--kind", "hitting", "--ns", "12", "--trials", "1", "--threads", "0"],
+     "threads must be at least 1, got 0"),
+    (["simulate", "--n", "4", "--colours", "0"], "need at least one colour"),
 ])
 def test_refused_input_is_a_usage_error(argv, message, capsys):
     """Input the library refuses exits 2 with one argparse error line."""

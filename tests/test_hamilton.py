@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rainbow_rgg import hamilton
 from rainbow_rgg import (
     exact_hamilton_cycle,
     exact_hamilton_path,
@@ -101,6 +102,11 @@ def test_exact_tiny_cases():
     two = _adj_from_edges(2, [(0, 1)])
     assert exact_hamilton_path(2, two) in ([0, 1], [1, 0])
     assert exact_hamilton_cycle(3, _cycle_graph(3)) is not None
+    # the dispatchers hand every size up to the limit to the exact solver,
+    # which refuses an empty or negative vertex count and a 2-vertex cycle
+    assert hamilton_path(-1, []) is None
+    assert hamilton_path(0, []) is None
+    assert hamilton_cycle(2, two) is None
 
 
 def test_exact_disconnected():
@@ -172,3 +178,28 @@ def test_heuristic_handles_sparse_failure_gracefully():
     adj = _path_graph(30)
     got = hamilton_cycle(30, adj)
     assert got is None
+
+
+def _two_paths(k):
+    """Two disjoint k-vertex paths: no Hamilton path at all."""
+    return _adj_from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
+                           + [(k + i, k + i + 1) for i in range(k - 1)])
+
+
+@pytest.mark.parametrize("search, adj", [
+    (hamilton_cycle, _path_graph(30)),
+    (hamilton_path, _two_paths(15)),
+], ids=["cycle-on-path", "path-on-two-paths"])
+def test_heuristic_is_one_attempt(search, adj, monkeypatch):
+    """Above the exact limit a dispatch makes one rotation-extension
+    attempt from vertex 0 and gives up, however many vertices remain."""
+    calls = []
+    posa = hamilton._posa_path
+
+    def counted(*args):
+        calls.append(args[0])
+        return posa(*args)
+
+    monkeypatch.setattr(hamilton, "_posa_path", counted)
+    assert search(len(adj), adj) is None
+    assert calls == [len(adj)]

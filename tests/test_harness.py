@@ -197,6 +197,12 @@ def test_config_refuses_trials_below_one(trials):
         ExperimentConfig(kind="hitting", ns=(10,), trials=trials)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_config_refuses_threads_below_one(threads):
+    with pytest.raises(ValueError, match=rf"threads must be at least 1, got {threads}"):
+        ExperimentConfig(kind="hitting", ns=(10,), trials=1, threads=threads)
+
+
 def test_config_refuses_unknown_mode():
     with pytest.raises(ValueError, match="modes must be"):
         ExperimentConfig(kind="build", ns=(10,), trials=1, modes=("hc", "tour"))
